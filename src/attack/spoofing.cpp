@@ -1,5 +1,6 @@
 #include "attack/spoofing.h"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -40,8 +41,12 @@ GpsSpoofer::GpsSpoofer(const SpoofingPlan& plan, const sim::MissionSpec& mission
   if (plan.target < 0 || plan.target >= mission.num_drones()) {
     throw std::invalid_argument("GpsSpoofer: target out of range");
   }
-  if (plan.distance < 0.0 || plan.duration < 0.0 || plan.start_time < 0.0) {
-    throw std::invalid_argument("GpsSpoofer: negative spoofing parameter");
+  // A plain `x < 0.0` lets NaN through, and a NaN window is never active:
+  // the mission would silently fly unspoofed.
+  const auto valid = [](double x) { return std::isfinite(x) && x >= 0.0; };
+  if (!valid(plan.distance) || !valid(plan.duration) || !valid(plan.start_time)) {
+    throw std::invalid_argument(
+        "GpsSpoofer: negative or non-finite spoofing parameter");
   }
   const Vec3 left = math::lateral_left(sim::mission_axis(mission));
   active_offset_ =

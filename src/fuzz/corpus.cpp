@@ -174,6 +174,13 @@ CorpusEntry corpus_entry_from_json(std::string_view line) {
   entry.duration = root.at("duration").as_double();
   entry.f = root.at("f").as_double();
   entry.cost = root.at("cost").as_double();
+  // JSON null parses as NaN. `f` and `vdo` may legitimately be +inf (and so
+  // arrive as null), but a window or cost never is: such a line is corrupt,
+  // and E_Fuzz would otherwise mutate and simulate a NaN window.
+  if (!std::isfinite(entry.t_start) || !std::isfinite(entry.duration) ||
+      !std::isfinite(entry.cost)) {
+    throw std::invalid_argument("corpus: non-finite t_start, duration or cost");
+  }
   const util::JsonValue& signature = root.at("signature");
   entry.signature.reserve(signature.size());
   for (std::size_t i = 0; i < signature.size(); ++i) {

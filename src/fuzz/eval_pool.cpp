@@ -155,7 +155,8 @@ void EvalPool::run_job(const sim::Simulator& simulator,
                        JobResult& out) noexcept {
   try {
     const AttackEvalOutcome result =
-        evaluate_attack(*context.mission, simulator, system, context.seed,
+        evaluate_attack(*context.mission, simulator, system,
+                        job.seed ? *job.seed : context.seed,
                         context.spoof_distance, context.prefix, context.guards,
                         job.t_start, job.duration);
     out.eval = result.eval;

@@ -1,8 +1,9 @@
 // Deterministic parallel evaluation engine for the fuzzing search.
 //
-// The gradient search submits its independent simulations — the multi-start
-// candidates and each iteration's FD stencil — as batches; the pool fans a
-// batch out over worker threads and hands every outcome back in job order.
+// The searches submit their independent simulations as batches — the
+// gradient search's multi-start candidates and FD stencils, E_Fuzz's whole
+// mutant round across target-victim pairs; the pool fans a batch out over
+// worker threads and hands every outcome back in job order.
 // Each worker owns its own Simulator + FlockingControlSystem clone (the only
 // mutable per-run state), and all workers resume from the same read-only
 // PrefixCache, so a batch's simulations are bit-identical to the serial
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -67,10 +69,13 @@ struct ThreadBudget {
 
 class EvalPool {
  public:
-  // One (already projected) candidate of a batch.
+  // One (already projected) candidate of a batch. A job without its own
+  // seed is evaluated under BatchContext::seed, so one batch can mix the
+  // windows of several target-victim pairs.
   struct Job {
     double t_start = 0.0;
     double duration = 0.0;
+    std::optional<Seed> seed{};
   };
 
   // Outcome of one job: either an evaluation plus its step accounting, or
@@ -82,9 +87,9 @@ class EvalPool {
     std::exception_ptr error;
   };
 
-  // Everything a batch's jobs share. All pointers are borrowed and must
-  // outlive the evaluate() call; `prefix` is only ever read (concurrent
-  // lookups are safe — see PrefixCache).
+  // Everything a batch's jobs share (the seed only for jobs without one).
+  // All pointers are borrowed and must outlive the evaluate() call; `prefix`
+  // is only ever read (concurrent lookups are safe — see PrefixCache).
   struct BatchContext {
     const sim::MissionSpec* mission = nullptr;
     Seed seed{};

@@ -380,12 +380,12 @@ class SvgOnlyFuzzer final : public RandomSearchFuzzer {
 // E_Fuzz: AFL-style persistent evolutionary search (DESIGN.md section 17).
 // The corpus is seeded from the SVG schedule (one t_ca-anchored window per
 // scheduled seed); each round assembles a fixed-size batch of mutants,
-// evaluates it through the speculate-then-replay batch path, and admits
-// candidates whose behavioral signature lights a novelty bin no corpus
-// member has lit. Periodic minimization keeps the population at one cheap
-// entry per bin. Results are bit-identical for any eval-thread count: batch
-// composition depends only on the RNG stream and corpus state, both of
-// which advance in replay (= submission) order.
+// evaluates it through the speculate-then-replay path as one fan-out across
+// its target-victim pairs, and admits candidates whose behavioral signature
+// lights a novelty bin no corpus member has lit. Periodic minimization keeps
+// the population at one cheap entry per bin. Results are bit-identical for
+// any eval-thread count: batch composition depends only on the RNG stream
+// and corpus state, both of which advance in replay (= submission) order.
 class EvolutionaryFuzzer final : public FuzzerBase {
  public:
   EvolutionaryFuzzer(FuzzerConfig config,
@@ -506,58 +506,65 @@ class EvolutionaryFuzzer final : public FuzzerBase {
       }
 
       // Group by pair/direction in first-appearance order: each group is one
-      // evaluate_batch against that pair's objective, so window mutants of
-      // one parent fan out over the pool together.
-      std::vector<std::pair<Objective*, std::vector<std::size_t>>> groups;
+      // batch of that pair's objective, and the whole round is one
+      // evaluate_groups call, so with a pool every non-memoised mutant of
+      // the round, across all pairs, is simulated in one fan-out.
+      struct Group {
+        Objective* objective = nullptr;
+        std::vector<std::size_t> indices;  // into `batch`
+        std::vector<EvalRequest> requests;
+      };
+      std::vector<Group> groups;
       std::map<Objective*, std::size_t> group_of;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         Objective& objective = objective_for(batch[i].seed);
         const auto [it, inserted] = group_of.try_emplace(&objective, groups.size());
-        if (inserted) groups.push_back({&objective, {}});
-        groups[it->second].second.push_back(i);
+        if (inserted) groups.emplace_back().objective = &objective;
+        Group& group = groups[it->second];
+        double t_s = batch[i].t_start;
+        double dur = batch[i].duration;
+        objective.project(t_s, dur);
+        group.indices.push_back(i);
+        group.requests.push_back(EvalRequest{t_s, dur});
+      }
+      std::vector<ObjectiveBatch> round;
+      round.reserve(groups.size());
+      for (const Group& group : groups) {
+        round.push_back({.objective = group.objective, .requests = group.requests});
       }
 
-      for (auto& [objective, indices] : groups) {
-        if (stop) break;
-        std::vector<EvalRequest> requests;
-        requests.reserve(indices.size());
-        for (const std::size_t i : indices) {
-          double t_s = batch[i].t_start;
-          double dur = batch[i].duration;
-          objective->project(t_s, dur);
-          requests.push_back(EvalRequest{t_s, dur});
-        }
-        objective->evaluate_batch(
-            requests, [&](std::size_t j, const ObjectiveEval& eval) {
-              const MutantCandidate& candidate = batch[indices[j]];
-              ++result.iterations;
-              ++result.attempts_tried;
-              corpus.admit(CorpusEntry{
-                  candidate.seed, requests[j].t_start, requests[j].duration,
-                  eval.f,
-                  // Cost proxy: the tail simulated under prefix reuse — later
-                  // windows are cheaper to re-evaluate, so minimization
-                  // prefers them on equal coverage.
-                  clean.end_time - requests[j].t_start,
-                  novelty_signature(eval, clean.end_time, evo.novelty)});
-              const OptimizationResult outcome{.success = eval.success,
-                                               .t_start = requests[j].t_start,
-                                               .duration = requests[j].duration,
-                                               .best_f = eval.f,
-                                               .crashed_drone = eval.crashed_drone,
-                                               .iterations = 1};
-              if (eval.success ||
-                  result.attempts.size() < kMaxRecordedAttempts) {
-                result.attempts.push_back(SeedAttempt{candidate.seed, outcome});
-              }
-              if (eval.success) {
-                record_success(result, candidate.seed, outcome, clean);
-                stop = true;
-                return false;
-              }
-              return result.iterations < config_.mission_budget;
-            });
-      }
+      Objective::evaluate_groups(
+          round, [&](std::size_t g, std::size_t j, const ObjectiveEval& eval) {
+            const MutantCandidate& candidate = batch[groups[g].indices[j]];
+            const EvalRequest& request = groups[g].requests[j];
+            ++result.iterations;
+            ++result.attempts_tried;
+            corpus.admit(CorpusEntry{
+                candidate.seed, request.t_start, request.duration, eval.f,
+                // Cost proxy: the tail simulated under prefix reuse — later
+                // windows are cheaper to re-evaluate, so minimization
+                // prefers them on equal coverage.
+                clean.end_time - request.t_start,
+                novelty_signature(eval, clean.end_time, evo.novelty)});
+            const OptimizationResult outcome{.success = eval.success,
+                                             .t_start = request.t_start,
+                                             .duration = request.duration,
+                                             .best_f = eval.f,
+                                             .crashed_drone = eval.crashed_drone,
+                                             .iterations = 1};
+            if (eval.success ||
+                result.attempts.size() < kMaxRecordedAttempts) {
+              result.attempts.push_back(SeedAttempt{candidate.seed, outcome});
+            }
+            if (eval.success) {
+              // Ends the round: later groups are neither simulated (serial)
+              // nor committed (speculative).
+              record_success(result, candidate.seed, outcome, clean);
+              stop = true;
+              return false;
+            }
+            return result.iterations < config_.mission_budget;
+          });
 
       if (corpus.admissions() - minimized_at >= std::max(evo.minimize_period, 1)) {
         corpus.minimize();

@@ -1,12 +1,15 @@
 #include "fuzz/lease.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <stdexcept>
+
+#include <unistd.h>
 
 #include "fuzz/telemetry.h"
 #include "util/fileio.h"
@@ -327,24 +330,37 @@ bool LeaseStore::try_claim(int lease_id) {
   // rejects, or loses a reclaim race to a process that just claimed — which
   // then holds an unexpired lease, so the next iteration rejects.
   for (int attempt = 0; attempt < 4; ++attempt) {
-    // C11 exclusive create: exactly one of any number of racing processes
-    // gets the file handle; everyone else sees EEXIST.
-    const bool created =
-        util::io_retrier().run("claim_create", [&]() -> bool {
-          std::FILE* file = std::fopen(path.c_str(), "wbx");
-          if (file != nullptr) {
-            std::fclose(file);
-            return true;
-          }
-          if (errno == EEXIST) return false;
-          throw util::IoError("lease: cannot create " + path, errno);
-        });
-    if (created) {
-      append_claim(path, LeaseClaimRecord{.lease_id = lease_id,
-                                          .owner = owner_,
-                                          .expires_at_ms = now_ms() + ttl_ms_});
-      return true;
+    // Exclusive create *with content*: the first record goes to a private
+    // file that is then hard-linked to the claim path. link() fails with
+    // EEXIST when the path exists, so exactly one of any number of racing
+    // processes wins, and the claim file never appears without its record.
+    // (An exclusive create followed by an append left a window in which a
+    // racing claimant read the empty file as a dead claimant's and
+    // reclaimed a live lease.)
+    static std::atomic<std::uint64_t> private_files{0};
+    const std::string fresh = path + ".new." + std::to_string(::getpid()) +
+                              "." + std::to_string(private_files++);
+    bool created = false;
+    try {
+      append_claim(fresh, LeaseClaimRecord{.lease_id = lease_id,
+                                           .owner = owner_,
+                                           .expires_at_ms = now_ms() + ttl_ms_});
+      created = util::io_retrier().run("claim_create", [&]() -> bool {
+        std::error_code ec;
+        std::filesystem::create_hard_link(fresh, path, ec);
+        if (!ec) return true;
+        if (ec == std::errc::file_exists) return false;
+        throw util::IoError("lease: cannot create " + path + ": " + ec.message(),
+                            ec.value());
+      });
+    } catch (...) {
+      std::error_code ignored;
+      std::filesystem::remove(fresh, ignored);
+      throw;
     }
+    std::error_code ignored;
+    std::filesystem::remove(fresh, ignored);
+    if (created) return true;
     const LeaseClaimRecord latest = latest_claim(path);
     if (latest.lease_id >= 0 && latest.expires_at_ms > now_ms()) {
       if (latest.owner != owner_) return false;  // validly held by another

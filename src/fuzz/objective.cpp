@@ -173,11 +173,20 @@ void Objective::project(double& t_start, double& duration) const {
   duration = std::clamp(duration, dt_min, t_mission_ - t_start);
 }
 
+namespace {
+
+std::pair<std::uint64_t, std::uint64_t> memo_key(double t_start,
+                                                 double duration) noexcept {
+  return {std::bit_cast<std::uint64_t>(t_start),
+          std::bit_cast<std::uint64_t>(duration)};
+}
+
+}  // namespace
+
 ObjectiveEval Objective::evaluate(double t_start, double duration) {
   project(t_start, duration);
 
-  const std::pair<std::uint64_t, std::uint64_t> key{
-      std::bit_cast<std::uint64_t>(t_start), std::bit_cast<std::uint64_t>(duration)};
+  const MemoKey key = memo_key(t_start, duration);
   if (const auto it = memo_.find(key); it != memo_.end()) {
     ++memo_hits_;
     return it->second;
@@ -195,80 +204,127 @@ ObjectiveEval Objective::evaluate(double t_start, double duration) {
 
 void Objective::evaluate_batch(std::span<const EvalRequest> batch,
                                const BatchConsumer& consume) {
-  ++eval_batches_;
-  if (pool_ == nullptr || pool_->threads() <= 1 || batch.size() <= 1) {
-    ObjectiveFunction::evaluate_batch(batch, consume);
+  const ObjectiveBatch group{.objective = this, .requests = batch};
+  evaluate_groups({&group, 1},
+                  [&](std::size_t, std::size_t i, const ObjectiveEval& eval) {
+                    return consume(i, eval);
+                  });
+}
+
+void Objective::evaluate_groups(std::span<const ObjectiveBatch> groups,
+                                const GroupConsumer& consume) {
+  if (groups.empty()) {
+    return;
+  }
+  const Objective* lead = groups.front().objective;
+  std::size_t total = 0;
+  for (const ObjectiveBatch& group : groups) {
+    const Objective* o = group.objective;
+    if (o == nullptr || &o->mission_ != &lead->mission_ ||
+        o->spoof_distance_ != lead->spoof_distance_ ||
+        o->prefix_ != lead->prefix_ || o->guards_ != lead->guards_ ||
+        o->pool_ != lead->pool_) {
+      throw std::invalid_argument(
+          "Objective::evaluate_groups: groups must share mission, spoof "
+          "distance, prefix cache, guards and pool");
+    }
+    total += group.requests.size();
+  }
+  EvalPool* const pool = lead->pool_;
+  if (pool == nullptr || pool->threads() <= 1 || total <= 1) {
+    // Lazy serial path: an entry is only evaluated once every earlier entry
+    // was consumed.
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      Objective& objective = *groups[g].objective;
+      ++objective.eval_batches_;
+      const std::span<const EvalRequest> requests = groups[g].requests;
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (!consume(g, i, objective.evaluate(requests[i].t_start,
+                                              requests[i].duration))) {
+          return;
+        }
+      }
+    }
     return;
   }
 
-  // Speculative fan-out: simulate every non-memoised candidate concurrently
-  // (including entries a serial run might never reach), then replay in
-  // submission order and commit — counter increments, memo inserts — only
-  // the prefix the consumer accepts. Discarded speculative work touches no
-  // observable state, so evaluations()/memo_hits()/memo contents match the
-  // serial path bit for bit.
+  // Speculative fan-out: simulate every non-memoised candidate of every
+  // group in one pool call (including entries a serial run might never
+  // reach), then replay in submission order and commit — counter
+  // increments, memo inserts — only the entries the consumer accepts.
+  // Discarded speculative work touches no observable state, so every
+  // objective's counters and memo match the serial path bit for bit.
   constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
   struct Candidate {
-    double t_start = 0.0;
-    double duration = 0.0;
-    std::pair<std::uint64_t, std::uint64_t> key{};
+    MemoKey key{};
     std::size_t job = kNoJob;
   };
-  std::vector<Candidate> candidates(batch.size());
+  std::vector<Candidate> candidates;
+  candidates.reserve(total);
   std::vector<EvalPool::Job> jobs;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> queued;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Candidate& c = candidates[i];
-    c.t_start = batch[i].t_start;
-    c.duration = batch[i].duration;
-    project(c.t_start, c.duration);
-    c.key = {std::bit_cast<std::uint64_t>(c.t_start),
-             std::bit_cast<std::uint64_t>(c.duration)};
-    if (memo_.contains(c.key)) {
-      continue;  // replay will serve it as a memo hit
+  std::map<std::pair<const Objective*, MemoKey>, std::size_t> queued;
+  for (const ObjectiveBatch& group : groups) {
+    const Objective& objective = *group.objective;
+    for (const EvalRequest& request : group.requests) {
+      double t_start = request.t_start;
+      double duration = request.duration;
+      objective.project(t_start, duration);
+      Candidate& c = candidates.emplace_back();
+      c.key = memo_key(t_start, duration);
+      if (objective.memo_.contains(c.key)) {
+        continue;  // replay will serve it as a memo hit
+      }
+      // Duplicate keys of one objective simulate once; during replay the
+      // first occurrence commits the memo entry and later ones hit it,
+      // exactly as serial evaluation would.
+      const auto [it, inserted] =
+          queued.try_emplace({&objective, c.key}, jobs.size());
+      if (inserted) {
+        jobs.push_back({.t_start = t_start,
+                        .duration = duration,
+                        .seed = objective.seed_});
+      }
+      c.job = it->second;
     }
-    // Duplicate keys within the batch simulate once; during replay the
-    // first occurrence commits the memo entry and later ones hit it,
-    // exactly as serial evaluation would.
-    const auto [it, inserted] = queued.try_emplace(c.key, jobs.size());
-    if (inserted) {
-      jobs.push_back({.t_start = c.t_start, .duration = c.duration});
-    }
-    c.job = it->second;
   }
 
   std::vector<EvalPool::JobResult> results;
   if (!jobs.empty()) {
-    const EvalPool::BatchContext context{.mission = &mission_,
-                                         .seed = seed_,
-                                         .spoof_distance = spoof_distance_,
-                                         .prefix = prefix_,
-                                         .guards = guards_};
-    results = pool_->evaluate(context, jobs);
+    const EvalPool::BatchContext context{.mission = &lead->mission_,
+                                         .seed = lead->seed_,
+                                         .spoof_distance = lead->spoof_distance_,
+                                         .prefix = lead->prefix_,
+                                         .guards = lead->guards_};
+    results = pool->evaluate(context, jobs);
   }
 
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Candidate& c = candidates[i];
-    ObjectiveEval eval;
-    if (const auto it = memo_.find(c.key); it != memo_.end()) {
-      ++memo_hits_;
-      eval = it->second;
-    } else {
-      EvalPool::JobResult& r = results[c.job];
-      if (r.error) {
-        // Rethrown at the entry's replay position: everything committed so
-        // far matches the serial run, and the exception aborts the search
-        // before any counter becomes externally observable.
-        std::rethrow_exception(r.error);
+  std::size_t next = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    Objective& objective = *groups[g].objective;
+    ++objective.eval_batches_;
+    for (std::size_t i = 0; i < groups[g].requests.size(); ++i) {
+      const Candidate& c = candidates[next++];
+      const ObjectiveEval* eval = nullptr;
+      if (const auto it = objective.memo_.find(c.key);
+          it != objective.memo_.end()) {
+        ++objective.memo_hits_;
+        eval = &it->second;
+      } else {
+        const EvalPool::JobResult& r = results[c.job];
+        if (r.error) {
+          // Rethrown at the entry's replay position: everything committed
+          // so far matches the serial run, and the exception aborts the
+          // search before any counter becomes externally observable.
+          std::rethrow_exception(r.error);
+        }
+        ++objective.evaluations_;
+        objective.sim_steps_executed_ += r.steps_executed;
+        objective.prefix_steps_reused_ += r.steps_resumed;
+        eval = &objective.memo_.emplace(c.key, r.eval).first->second;
       }
-      ++evaluations_;
-      sim_steps_executed_ += r.steps_executed;
-      prefix_steps_reused_ += r.steps_resumed;
-      memo_.emplace(c.key, r.eval);
-      eval = r.eval;
-    }
-    if (!consume(i, eval)) {
-      return;
+      if (!consume(g, i, *eval)) {
+        return;
+      }
     }
   }
 }

@@ -126,6 +126,20 @@ class PrefixCache final : public sim::CheckpointSink {
 };
 
 class EvalPool;
+class Objective;
+
+// One group of a multi-objective batch: candidates (raw coordinates, like
+// EvalRequest) for one objective.
+struct ObjectiveBatch {
+  Objective* objective = nullptr;
+  std::span<const EvalRequest> requests;
+};
+
+// Receives a multi-group batch's results in replay order: the group's
+// index, the entry's index within the group, and its evaluation. Return
+// false to stop the whole call (see Objective::evaluate_groups).
+using GroupConsumer =
+    std::function<bool(std::size_t, std::size_t, const ObjectiveEval&)>;
 
 // Result of one attack simulation, before any Objective bookkeeping.
 struct AttackEvalOutcome {
@@ -165,17 +179,28 @@ class Objective final : public ObjectiveFunction {
 
   [[nodiscard]] ObjectiveEval evaluate(double t_start, double duration) override;
 
-  // With a pool: projects every candidate, simulates the non-memoised ones
-  // concurrently (speculatively — including entries a serial run would
-  // never reach), then replays outcomes in submission order, committing
-  // counters and memo entries only for the prefix of entries the consumer
-  // actually accepts. Evaluations, memo hits, step counters, and memo
-  // contents end up exactly as if evaluate() had been called serially until
-  // consume returned false; a captured worker exception is rethrown at its
-  // entry's replay position. Without a pool (or single-threaded, or a
-  // batch of one) this is the serial loop.
+  // The one-group case of evaluate_groups.
   void evaluate_batch(std::span<const EvalRequest> batch,
                       const BatchConsumer& consume) override;
+
+  // Evaluates several groups of candidates, each against its own objective,
+  // and replays the outcomes group by group, in submission order within
+  // each group. Stopping (consume returning false) ends the whole call, so
+  // the observable result is that of calling each group's evaluate_batch in
+  // turn until the first stop. With a pool of two or more threads and more
+  // than one request in total: projects every candidate, simulates the
+  // non-memoised ones of *all* groups in one pool call (speculatively —
+  // including entries a serial run would never reach; duplicates are
+  // simulated once per objective), then replays, committing counters and
+  // memo entries only for the entries the consumer actually accepts.
+  // Evaluations, memo hits, step counters, batch counts and memo contents
+  // end up exactly as on the lazy serial path; a captured worker exception
+  // is rethrown at its entry's replay position. eval_batches() counts one
+  // batch per group whose replay began. All groups must share the mission,
+  // spoof distance, prefix cache, guards and pool — they differ only in
+  // seed (std::invalid_argument otherwise).
+  static void evaluate_groups(std::span<const ObjectiveBatch> groups,
+                              const GroupConsumer& consume);
 
   // Clamps (t_s, dt) into the feasible region 0 <= t_s, dt_min <= dt,
   // t_s + dt <= t_mission.
@@ -221,7 +246,8 @@ class Objective final : public ObjectiveFunction {
   // the simulation is a pure function of those bits, so a repeat probe
   // (e.g. the optimizer re-evaluating its multi-start winner) costs zero
   // simulations.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, ObjectiveEval> memo_;
+  using MemoKey = std::pair<std::uint64_t, std::uint64_t>;
+  std::map<MemoKey, ObjectiveEval> memo_;
 };
 
 }  // namespace swarmfuzz::fuzz

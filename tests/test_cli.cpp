@@ -67,6 +67,12 @@ TEST(Cli, ReplayCommandRunsPlan) {
             0);
 }
 
+TEST(Cli, ReplayRejectsNonFiniteWindow) {
+  // Used to fly an unspoofed mission and print "t_s=nans ... no collision".
+  EXPECT_EQ(run_dispatch({"replay", "--seed=1013", "--start=nan"}), 1);
+  EXPECT_EQ(run_dispatch({"replay", "--seed=1013", "--duration=nan"}), 1);
+}
+
 TEST(Cli, FuzzCommandFindsSpvOnVulnerableMission) {
   EXPECT_EQ(cmd_fuzz(parse({"fuzz", "--seed=1013", "--distance=10"})), 0);
 }

@@ -202,6 +202,39 @@ TEST(Corpus, LoadThrowsOnCorruptCompleteLine) {
   std::filesystem::remove(path);
 }
 
+TEST(Corpus, LoadThrowsOnNonFiniteWindowOrCost) {
+  // A CRC-valid line whose t_start, duration or cost is null (NaN) is a
+  // corrupt complete line: loading it would hand E_Fuzz a NaN window.
+  const std::string path = temp_path("nonfinite.jsonl");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double CorpusEntry::*field :
+       {&CorpusEntry::t_start, &CorpusEntry::duration, &CorpusEntry::cost}) {
+    CorpusEntry entry = entry_with({1}, 1.0);
+    entry.*field = nan;
+    const std::string line = to_jsonl(entry);
+    EXPECT_NE(line.find("null"), std::string::npos) << line;
+    EXPECT_THROW((void)corpus_entry_from_json(line), std::invalid_argument);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << to_jsonl(entry_with({2}, 1.0)) << '\n' << line << '\n';
+    }
+    EXPECT_THROW((void)load_corpus(path), std::runtime_error);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Corpus, LoadAcceptsInfiniteObjectiveAndVdo) {
+  // f and vdo are +inf for a victim that never nears an obstacle; they
+  // round-trip through JSON null as NaN and stay loadable.
+  CorpusEntry entry = entry_with({1}, 1.0);
+  entry.f = std::numeric_limits<double>::infinity();
+  entry.seed.vdo = std::numeric_limits<double>::infinity();
+  const CorpusEntry back = corpus_entry_from_json(to_jsonl(entry));
+  EXPECT_TRUE(std::isnan(back.f));
+  EXPECT_TRUE(std::isnan(back.seed.vdo));
+  EXPECT_DOUBLE_EQ(back.t_start, entry.t_start);
+}
+
 TEST(Corpus, LoadMissingFileYieldsEmpty) {
   EXPECT_TRUE(load_corpus(temp_path("does_not_exist.jsonl")).empty());
 }

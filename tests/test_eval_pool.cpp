@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "fuzz/campaign.h"
@@ -150,6 +154,52 @@ TEST(EvalPool, BatchResultsMatchSerialEvaluation) {
   }
 }
 
+TEST(EvalPool, MixedSeedBatchMatchesPerJobSerialEvaluation) {
+  // One batch carrying several target-victim pairs (E_Fuzz's round): each
+  // job is evaluated under its own seed, or the context's when it has none.
+  PoolFixture f;
+  EvalPool pool(f.sim_config, f.controller, {}, 3);
+  const Seed other{.target = 2, .victim = 3,
+                   .direction = attack::SpoofDirection::kLeft};
+  const Seed third{.target = 4, .victim = 0,
+                   .direction = attack::SpoofDirection::kRight};
+  const std::vector<EvalPool::Job> jobs{
+      {.t_start = 10.0, .duration = 20.0, .seed = other},
+      {.t_start = 10.0, .duration = 20.0},
+      {.t_start = 30.0, .duration = 15.0, .seed = third},
+      {.t_start = 10.0, .duration = 20.0, .seed = f.seed},
+      {.t_start = 5.0, .duration = 5.0, .seed = other}};
+  const EvalPool::BatchContext context{
+      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
+  const std::vector<EvalPool::JobResult> results = pool.evaluate(context, jobs);
+  ASSERT_EQ(results.size(), jobs.size());
+
+  const sim::Simulator simulator(f.sim_config);
+  swarm::FlockingControlSystem system(f.controller, {});
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_FALSE(results[i].error) << "job " << i;
+    const Seed& seed = jobs[i].seed ? *jobs[i].seed : f.seed;
+    const AttackEvalOutcome serial =
+        evaluate_attack(f.mission, simulator, system, seed, 10.0, nullptr,
+                        nullptr, jobs[i].t_start, jobs[i].duration);
+    EXPECT_EQ(results[i].eval.f, serial.eval.f) << "job " << i;
+    EXPECT_EQ(results[i].eval.success, serial.eval.success) << "job " << i;
+    EXPECT_EQ(results[i].eval.crashed_drone, serial.eval.crashed_drone);
+    EXPECT_EQ(results[i].eval.target_caused, serial.eval.target_caused);
+    EXPECT_EQ(results[i].eval.end_time, serial.eval.end_time);
+    EXPECT_EQ(results[i].eval.drone_clearance, serial.eval.drone_clearance);
+    EXPECT_EQ(results[i].eval.min_clearance_time,
+              serial.eval.min_clearance_time);
+    EXPECT_EQ(results[i].eval.min_avg_separation,
+              serial.eval.min_avg_separation);
+    EXPECT_EQ(results[i].steps_executed, serial.steps_executed);
+    EXPECT_EQ(results[i].steps_resumed, serial.steps_resumed);
+  }
+  // Same window, different pairs: the seed really reached the simulation.
+  EXPECT_NE(results[0].eval.f, results[1].eval.f);
+  EXPECT_EQ(results[1].eval.f, results[3].eval.f);
+}
+
 TEST(EvalPool, SingleThreadRunsInlineWithoutWorkers) {
   PoolFixture f;
   EvalPool pool(f.sim_config, f.controller, {}, 1);
@@ -198,6 +248,147 @@ TEST(EvalPool, CapturesGuardTripsPerJob) {
   ASSERT_EQ(ok.size(), 2u);
   EXPECT_FALSE(ok[0].error);
   EXPECT_FALSE(ok[1].error);
+}
+
+// ---------------------------------------------------------------------------
+// Objective::evaluate_groups: several pairs' candidates in one call, as in an
+// E_Fuzz round. With a pool every group is simulated in one fan-out; the
+// replay must leave exactly the serial path's observable state.
+
+struct GroupFixture : PoolFixture {
+  sim::RunResult record_clean() {
+    sim::RunHooks hooks;
+    hooks.checkpoints = &prefix;
+    sim::RunResult run = simulator.run(mission, system, hooks);
+    prefix.set_source(run.recorder);
+    return run;
+  }
+
+  // One objective per pair, sharing mission, prefix cache, guards and pool.
+  std::vector<std::unique_ptr<Objective>> objectives(EvalPool* pool) {
+    std::vector<std::unique_ptr<Objective>> out;
+    for (const Seed& s : seeds) {
+      out.push_back(std::make_unique<Objective>(mission, simulator, system, s,
+                                                10.0, clean.end_time, &prefix,
+                                                &guards, pool));
+    }
+    return out;
+  }
+
+  const sim::Simulator simulator{sim_config};
+  swarm::FlockingControlSystem system{controller, {}};
+  PrefixCache prefix;
+  const sim::RunResult clean = record_clean();
+  EvalGuards guards;
+  std::vector<Seed> seeds{
+      {.target = 0, .victim = 1, .direction = attack::SpoofDirection::kRight},
+      {.target = 2, .victim = 3, .direction = attack::SpoofDirection::kLeft},
+      {.target = 4, .victim = 0, .direction = attack::SpoofDirection::kRight}};
+};
+
+struct GroupRun {
+  std::vector<std::tuple<std::size_t, std::size_t, double>> consumed;
+  std::vector<std::array<std::int64_t, 5>> counters;  // per objective
+};
+
+GroupRun run_groups(GroupFixture& f, int threads, std::size_t stop_after,
+                    const std::vector<std::vector<EvalRequest>>& requests) {
+  std::unique_ptr<EvalPool> pool;
+  if (threads > 1) {
+    pool = std::make_unique<EvalPool>(f.sim_config, f.controller,
+                                      swarm::CommConfig{}, threads);
+  }
+  auto objectives = f.objectives(pool.get());
+  std::vector<ObjectiveBatch> groups;
+  for (std::size_t g = 0; g < requests.size(); ++g) {
+    groups.push_back({.objective = objectives[g].get(), .requests = requests[g]});
+  }
+  GroupRun run;
+  Objective::evaluate_groups(
+      groups, [&](std::size_t g, std::size_t i, const ObjectiveEval& eval) {
+        run.consumed.emplace_back(g, i, eval.f);
+        return run.consumed.size() < stop_after;
+      });
+  for (const auto& o : objectives) {
+    run.counters.push_back({o->evaluations(), o->memo_hits(), o->eval_batches(),
+                            o->sim_steps_executed(), o->prefix_steps_reused()});
+  }
+  return run;
+}
+
+TEST(EvalPool, GroupedRoundMatchesSerialAtEveryStop) {
+  GroupFixture f;
+  // Group 1 repeats a window: simulated once, the repeat is a memo hit.
+  const std::vector<std::vector<EvalRequest>> requests{
+      {{10.0, 20.0}, {30.0, 10.0}}, {{12.0, 8.0}, {12.0, 8.0}}, {{5.0, 5.0}}};
+  for (std::size_t stop_after = 1; stop_after <= 6; ++stop_after) {
+    const GroupRun serial = run_groups(f, 1, stop_after, requests);
+    const GroupRun pooled = run_groups(f, 4, stop_after, requests);
+    EXPECT_EQ(serial.consumed, pooled.consumed) << "stop after " << stop_after;
+    EXPECT_EQ(serial.counters, pooled.counters) << "stop after " << stop_after;
+  }
+  // A stop in the first group leaves the later groups untouched: no batch,
+  // no evaluation, although the pool simulated their candidates.
+  const GroupRun early = run_groups(f, 4, 1, requests);
+  EXPECT_EQ(early.consumed.size(), 1u);
+  EXPECT_EQ(early.counters[1], (std::array<std::int64_t, 5>{}));
+  EXPECT_EQ(early.counters[2], (std::array<std::int64_t, 5>{}));
+  const GroupRun full = run_groups(f, 4, 99, requests);
+  EXPECT_EQ(full.consumed.size(), 5u);
+  EXPECT_EQ(full.counters[1][0], 1);  // evaluations
+  EXPECT_EQ(full.counters[1][1], 1);  // memo hits
+  EXPECT_EQ(full.counters[1][2], 1);  // one batch per group
+}
+
+TEST(EvalPool, GroupedRoundRejectsObjectivesWithDifferentContext) {
+  // The pool call takes mission, prefix, guards and pool from the first
+  // group; a group that differs in any of them cannot ride along.
+  GroupFixture f;
+  auto objectives = f.objectives(nullptr);
+  EvalGuards other_guards;
+  Objective stray(f.mission, f.simulator, f.system, f.seeds[1], 10.0,
+                  f.clean.end_time, &f.prefix, &other_guards);
+  const std::vector<EvalRequest> requests{{10.0, 20.0}};
+  const std::vector<ObjectiveBatch> groups{
+      {.objective = objectives[0].get(), .requests = requests},
+      {.objective = &stray, .requests = requests}};
+  EXPECT_THROW(Objective::evaluate_groups(
+                   groups, [](std::size_t, std::size_t,
+                              const ObjectiveEval&) { return true; }),
+               std::invalid_argument);
+  EXPECT_EQ(objectives[0]->evaluations(), 0);
+}
+
+std::string first_fault(GroupFixture& f, int threads,
+                        const std::vector<std::vector<EvalRequest>>& requests) {
+  try {
+    (void)run_groups(f, threads, 99, requests);
+  } catch (const sim::RunFaultError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(EvalPool, GroupedRoundRethrowsFirstFaultInReplayOrder) {
+  // A step budget that only long tails exhaust: group 0's late window
+  // passes; groups 1 and 2 both trip, at different sim times (each run
+  // resumes from its own checkpoint). The pool simulates all three, but the
+  // fault raised must be group 1's, as on the serial path.
+  GroupFixture f;
+  ASSERT_GT(f.clean.end_time, 45.0);
+  f.guards.watchdog.max_steps =
+      static_cast<std::int64_t>(12.0 / f.sim_config.dt);
+  const std::vector<std::vector<EvalRequest>> requests{
+      {{f.clean.end_time - 6.0, 3.0}}, {{20.0, 10.0}}, {{5.0, 10.0}}};
+  ASSERT_TRUE(first_fault(f, 1, {requests[0]}).empty());
+  const std::string serial = first_fault(f, 1, requests);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(first_fault(f, 4, requests), serial);
+  // Group 2 alone raises a different fault, so the check above can tell
+  // which job's exception was rethrown.
+  const std::string later = first_fault(f, 1, {{}, {}, requests[2]});
+  ASSERT_FALSE(later.empty());
+  EXPECT_NE(later, serial);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "fuzz/telemetry.h"
 
@@ -110,6 +113,29 @@ TEST(LeaseStore, ClaimIsReentrantForItsOwner) {
   // Claiming a lease we already hold is a no-op success, not a conflict.
   EXPECT_TRUE(store.try_claim(0));
   EXPECT_TRUE(std::filesystem::exists(store.claim_path(0)));
+}
+
+TEST(LeaseStore, RacingClaimantsNeverReclaimALiveClaim) {
+  // Claimants racing for one fresh lease: exactly one wins, and nobody
+  // mistakes the winner's claim file for a dead claimant's. The file must
+  // never be visible before its first record is in it.
+  for (int round = 0; round < 20; ++round) {
+    const std::string dir = service_dir("race");
+    std::atomic<bool> go{false};
+    std::atomic<int> winners{0};
+    std::vector<std::thread> claimants;
+    for (int i = 0; i < 4; ++i) {
+      claimants.emplace_back([&, i] {
+        LeaseStore store(dir, 60000, "claimant-" + std::to_string(i));
+        while (!go.load()) std::this_thread::yield();
+        if (store.try_claim(0)) ++winners;
+      });
+    }
+    go = true;
+    for (std::thread& t : claimants) t.join();
+    ASSERT_EQ(winners.load(), 1) << "round " << round;
+    ASSERT_FALSE(has_dead_claim(dir, 0)) << "round " << round;
+  }
 }
 
 TEST(LeaseStore, RejectsDuplicateClaimWhileUnexpired) {

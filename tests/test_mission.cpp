@@ -84,8 +84,10 @@ TEST(Mission, MissionAxisIsUnitTowardDestination) {
 
 // Property sweep: invariants hold across seeds and sizes (paper section V-A:
 // spawn within 0-50 m, pairwise separation respected, obstacle on-path).
+// num_drones is 64-bit so the struct has no padding: gtest names each case
+// after the raw bytes of its parameter, and padding bytes are uninitialised.
 struct MissionSweepParam {
-  int num_drones;
+  std::int64_t num_drones;
   std::uint64_t seed;
 };
 
@@ -93,7 +95,7 @@ class MissionSweep : public ::testing::TestWithParam<MissionSweepParam> {};
 
 TEST_P(MissionSweep, GeneratorInvariants) {
   MissionConfig config;
-  config.num_drones = GetParam().num_drones;
+  config.num_drones = static_cast<int>(GetParam().num_drones);
   const MissionSpec mission = generate_mission(config, GetParam().seed);
 
   ASSERT_EQ(mission.num_drones(), config.num_drones);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace swarmfuzz::attack {
 namespace {
 
@@ -53,6 +55,21 @@ TEST(Spoofer, RejectsInvalidPlans) {
                std::invalid_argument);
   EXPECT_THROW(GpsSpoofer(SpoofingPlan{.target = 0, .distance = -5.0}, mission),
                std::invalid_argument);
+}
+
+TEST(Spoofer, RejectsNonFinitePlans) {
+  // NaN compares false against 0, so a `< 0` check alone let it through.
+  const sim::MissionSpec mission = mission_along_x();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(GpsSpoofer(SpoofingPlan{.target = 0, .start_time = bad}, mission),
+                 std::invalid_argument);
+    EXPECT_THROW(GpsSpoofer(SpoofingPlan{.target = 0, .duration = bad}, mission),
+                 std::invalid_argument);
+    EXPECT_THROW(GpsSpoofer(SpoofingPlan{.target = 0, .distance = bad}, mission),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Spoofer, RightSpoofingIsNegativeYForXAxisMission) {
