@@ -22,12 +22,12 @@
 #include "math/geometry.h"
 #include "math/rng.h"
 #include "sim/simulator.h"
-#include "sim/tick_pool.h"
 #include "swarm/comm.h"
 #include "swarm/spatial_grid.h"
 #include "swarm/tick_context.h"
 #include "swarm/vasarhelyi.h"
 #include "util/logging.h"
+#include "util/worker_pool.h"
 
 namespace {
 
@@ -105,7 +105,7 @@ BENCHMARK(BM_ControllerEvaluation)
 
 // Whole-swarm controller evaluation through the explicit TickExecutor: the
 // same batch kernel as BM_ControllerEvaluation (grid on), chunked over a
-// TickPool. Arg0 = drones, arg1 = threads; the /1 arm measures the executor
+// util::WorkerPool. Arg0 = drones, arg1 = threads; the /1 arm measures the executor
 // plumbing against the serial baseline above, multi-thread arms measure
 // intra-tick scaling. Bit-identical across arms (ParallelTick golden tests);
 // speedups need spare hardware threads — on a single-core runner every arm
@@ -119,7 +119,7 @@ void BM_ControllerEvaluationThreaded(benchmark::State& state) {
   const sim::WorldSnapshot snap = snapshot_of(mission);
   const swarm::VasarhelyiController controller;
   std::vector<sim::Vec3> desired(static_cast<size_t>(drones));
-  sim::TickPool pool(threads);
+  util::WorkerPool pool(threads);
   swarm::TickContext context(pool.threads());
   const swarm::TickExecutor exec{&pool, &context};
   for (auto _ : state) {
@@ -520,7 +520,7 @@ int main(int argc, char** argv) {
   // meaningful on this host: with one hardware thread they measure pure
   // handoff overhead and are annotated rather than gated.
   benchmark::AddCustomContext("num_threads_available",
-                              std::to_string(sim::hardware_threads()));
+                              std::to_string(util::hardware_threads()));
 #ifdef NDEBUG
   benchmark::AddCustomContext("swarmfuzz_assertions", "off");
 #else

@@ -313,8 +313,8 @@ int cmd_fuzz(const util::Options& options) {
   config.mission_timeout_s = options.get_double("mission-timeout", 0.0);
   config.eval_max_steps = options.get_int("eval-max-steps", 0);
   // --eval-threads=N fans the gradient search's evaluation batches out over
-  // N worker threads (0 = hardware concurrency); results are bit-identical
-  // to --eval-threads=1.
+  // N worker threads (0 = hardware concurrency divided by an explicit
+  // --sim-threads); results are bit-identical to --eval-threads=1.
   config.eval_threads = options.get_int("eval-threads", 1);
   // E_Fuzz: novelty resolution, batch size, and the anytime corpus
   // directory (load before searching, save the minimized corpus after).
@@ -770,8 +770,9 @@ int print_usage() {
       "             resolution, default 16) [--evo-batch=N] [--max-corpus=N]\n"
       "             [--corpus-dir=DIR] (anytime mode: resume/save the\n"
       "             per-mission corpus)\n"
-      "             [--eval-threads=N] (parallel batch evaluation, 0 = all\n"
-      "             cores; bit-identical results for any N)\n"
+      "             [--eval-threads=N] (parallel batch evaluation, 0 = auto\n"
+      "             from what sim threads leave free; bit-identical results\n"
+      "             for any N)\n"
       "             [--sim-threads=N] (intra-tick threads per simulation,\n"
       "             0 = auto from what eval threads leave free)\n"
       "  campaign   evaluate a configuration over many missions\n"

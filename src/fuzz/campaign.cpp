@@ -8,13 +8,13 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
-#include "fuzz/eval_pool.h"
 #include "util/logging.h"
+#include "util/worker_pool.h"
 
 namespace swarmfuzz::fuzz {
 
@@ -456,15 +456,20 @@ TelemetryRecord make_record(const CampaignConfig& config,
 
 }  // namespace
 
+ThreadBudget split_thread_budget(int workers, int requested_eval,
+                                 int requested_sim, int hardware) noexcept {
+  const int share = std::max(std::max(hardware, 1) / std::max(workers, 1), 1);
+  const int eval = std::min(requested_eval, share);
+  const int sim = std::min(requested_sim, std::max(share / std::max(eval, 1), 1));
+  return util::resolve_thread_budget(eval, sim, share);
+}
+
 FuzzerConfig worker_fuzzer_config(const CampaignConfig& config, int workers) {
-  // Mission workers, per-worker eval threads and per-simulation tick threads
-  // share one hardware budget: workers x eval x sim <= hardware concurrency.
   // Explicit over-budget requests are clamped (with one warning per
   // campaign — this runs once per campaign/shard, not per mission) rather
-  // than oversubscribing; 0 = auto splits whatever the other dimensions
-  // leave free. Neither knob affects outcomes (evaluation batching and the
-  // tick pool are bit-identical for any width), so both are excluded from
-  // campaign_config_hash and checkpoint validation.
+  // than oversubscribing. Neither knob affects outcomes (evaluation
+  // batching and the tick pool are bit-identical for any width), so both
+  // are excluded from campaign_config_hash and checkpoint validation.
   FuzzerConfig worker_fuzzer = config.fuzzer;
   const int hardware = hardware_threads();
   const ThreadBudget budget =
@@ -636,7 +641,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   const FuzzerConfig worker_fuzzer = worker_fuzzer_config(config, threads);
 
   const auto campaign_start = std::chrono::steady_clock::now();
-  std::atomic<int> next{0};
   std::atomic<int> completed{resumed};
   std::atomic<int> found{0};
   std::atomic<int> faulted{0};
@@ -663,75 +667,75 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     }
   }
 
-  const auto worker = [&] {
+  // The mission workers are the lanes of one pool, claiming missions in
+  // index order. One runner (and thus one fuzzer) per lane: fuzzers are
+  // stateful but mission outcomes only depend on per-mission seeds, so
+  // sharding is deterministic.
+  util::WorkerPool workers(threads);
+  std::vector<std::optional<MissionRunner>> runners(static_cast<size_t>(threads));
+  workers.for_each(config.num_missions, [&](int index, int lane) {
+    if (aborted.load()) return;  // fail-fast or a dead worker
+    MissionOutcome& outcome = result.outcomes[static_cast<size_t>(index)];
+    if (outcome.completed) return;  // satisfied by the checkpoint
+    if (new_budget.fetch_sub(1) <= 0) return;  // max_new_missions reached
     // The whole body is supervised: an exception anywhere outside the
     // per-mission containment (fuzzer construction, checkpoint I/O) must
     // stop the campaign cleanly instead of std::terminate-ing the process.
     try {
-      // One runner (and thus one fuzzer) per worker: fuzzers are stateful but
-      // mission outcomes only depend on per-mission seeds, so sharding is
-      // deterministic.
-      MissionRunner runner(config, worker_fuzzer);
-      while (true) {
-        if (aborted.load()) break;  // fail-fast tripped elsewhere
-        const int index = next.fetch_add(1);
-        if (index >= config.num_missions) break;
-        MissionOutcome& outcome = result.outcomes[static_cast<size_t>(index)];
-        if (outcome.completed) continue;  // satisfied by the checkpoint
-        if (new_budget.fetch_sub(1) <= 0) break;  // max_new_missions reached
-        outcome = runner.run(index);
-        if (outcome.result.found) found.fetch_add(1);
-        if (outcome.fault != sim::FaultKind::kNone) {
-          faulted.fetch_add(1);
-          if (config.fail_fast) aborted.store(true);
-        }
-        const int done = completed.fetch_add(1) + 1;
+      std::optional<MissionRunner>& runner = runners[static_cast<size_t>(lane)];
+      if (!runner) runner.emplace(config, worker_fuzzer);
+      outcome = runner->run(index);
+      if (outcome.result.found) found.fetch_add(1);
+      if (outcome.fault != sim::FaultKind::kNone) {
+        faulted.fetch_add(1);
+        if (config.fail_fast) aborted.store(true);
+      }
+      const int done = completed.fetch_add(1) + 1;
 
-        {
-          const std::lock_guard<std::mutex> lock(observer_mutex);
-          const TelemetryRecord record = make_record(config, outcome);
-          if (checkpoint) checkpoint->record(record);
-          if (config.telemetry) config.telemetry->record(record);
-          if (outcome.fault != sim::FaultKind::kNone &&
-              !config.quarantine_path.empty() &&
-              quarantined
-                  .emplace(config_hash, outcome.mission_seed, index)
-                  .second) {
-            QuarantineRecord quarantine;
-            quarantine.mission_index = index;
-            quarantine.fuzzer = std::string{fuzzer_kind_name(config.kind)};
-            quarantine.mission_seed = outcome.mission_seed;
-            quarantine.config_hash = config_hash;
-            quarantine.fault = outcome.fault;
-            quarantine.detail = outcome.fault_detail;
-            quarantine.attempts = outcome.fault_attempts;
-            try {
-              append_jsonl_line(config.quarantine_path, to_jsonl(quarantine));
-            } catch (const std::exception& e) {
-              // Quarantine is observability; losing a record must not lose
-              // the campaign.
-              SWARMFUZZ_ERROR("campaign: cannot write quarantine record: {}",
-                              e.what());
-            }
-          }
-          if (config.on_progress) {
-            CampaignProgress progress;
-            progress.completed = done;
-            progress.resumed = resumed;
-            progress.total = config.num_missions;
-            progress.found = found.load();
-            progress.faulted = faulted.load();
-            progress.elapsed_s =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              campaign_start)
-                    .count();
-            config.on_progress(progress);
+      {
+        const std::lock_guard<std::mutex> lock(observer_mutex);
+        const TelemetryRecord record = make_record(config, outcome);
+        if (checkpoint) checkpoint->record(record);
+        if (config.telemetry) config.telemetry->record(record);
+        if (outcome.fault != sim::FaultKind::kNone &&
+            !config.quarantine_path.empty() &&
+            quarantined
+                .emplace(config_hash, outcome.mission_seed, index)
+                .second) {
+          QuarantineRecord quarantine;
+          quarantine.mission_index = index;
+          quarantine.fuzzer = std::string{fuzzer_kind_name(config.kind)};
+          quarantine.mission_seed = outcome.mission_seed;
+          quarantine.config_hash = config_hash;
+          quarantine.fault = outcome.fault;
+          quarantine.detail = outcome.fault_detail;
+          quarantine.attempts = outcome.fault_attempts;
+          try {
+            append_jsonl_line(config.quarantine_path, to_jsonl(quarantine));
+          } catch (const std::exception& e) {
+            // Quarantine is observability; losing a record must not lose
+            // the campaign.
+            SWARMFUZZ_ERROR("campaign: cannot write quarantine record: {}",
+                            e.what());
           }
         }
-        if (config.num_missions >= 10 && done % (config.num_missions / 10) == 0) {
-          SWARMFUZZ_INFO("campaign [{}]: {}/{} missions",
-                         fuzzer_kind_name(config.kind), done, config.num_missions);
+        if (config.on_progress) {
+          CampaignProgress progress;
+          progress.completed = done;
+          progress.resumed = resumed;
+          progress.total = config.num_missions;
+          progress.found = found.load();
+          progress.faulted = faulted.load();
+          progress.elapsed_s =
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            campaign_start)
+                  .count();
+          config.on_progress(progress);
         }
+      }
+      if (config.num_missions >= 10 && done % (config.num_missions / 10) == 0) {
+        SWARMFUZZ_INFO("campaign [{}]: {}/{} missions",
+                       fuzzer_kind_name(config.kind), done, config.num_missions);
       }
     } catch (const std::exception& e) {
       SWARMFUZZ_ERROR("campaign worker aborted: {}", e.what());
@@ -740,12 +744,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       SWARMFUZZ_ERROR("campaign worker aborted: unknown exception");
       aborted.store(true);
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+  });
 
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

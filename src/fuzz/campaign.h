@@ -29,6 +29,7 @@
 #include "fuzz/fuzzer.h"
 #include "fuzz/telemetry.h"
 #include "sim/mission.h"
+#include "util/worker_pool.h"
 
 namespace swarmfuzz::fuzz {
 
@@ -245,10 +246,26 @@ struct CampaignResult {
 void validate_checkpoint_record(const TelemetryRecord& record,
                                 const CampaignConfig& config);
 
-// The eval-thread budget one campaign worker runs with when `workers`
-// workers share the machine: splits the hardware via split_eval_threads and
-// warns when an explicit over-budget request is clamped. Pure configuration;
-// eval_threads never changes outcomes.
+using util::hardware_threads;
+using util::ThreadBudget;
+
+// Splits `hardware` threads across `workers` campaign workers into an
+// eval x sim budget per worker. Explicit (> 0) requests are first clamped to
+// the worker's share (hardware / workers; sim to what eval leaves of it),
+// then util::resolve_thread_budget fills the auto fields from the share.
+// Both auto is all eval threads with serial ticks: intra-simulation
+// parallelism never silently steals cores from batch parallelism, which
+// saturates the machine with less synchronization. Every field is >= 1 for
+// any input, so the fully oversubscribed request (workers = eval = sim =
+// hardware) clamps to {1, 1}.
+[[nodiscard]] ThreadBudget split_thread_budget(int workers, int requested_eval,
+                                               int requested_sim,
+                                               int hardware) noexcept;
+
+// The thread budget one campaign worker runs with when `workers` workers
+// share the machine: split_thread_budget over hardware_threads(), warning
+// when an explicit over-budget request is clamped. Pure configuration;
+// neither width ever changes outcomes.
 [[nodiscard]] FuzzerConfig worker_fuzzer_config(const CampaignConfig& config,
                                                 int workers);
 

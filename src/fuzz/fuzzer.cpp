@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <thread>
 #include <tuple>
 
 #include "fuzz/eval_pool.h"
@@ -21,43 +20,21 @@ namespace {
 // large budgets while attempts_tried still counts everything.
 constexpr std::size_t kMaxRecordedAttempts = 256;
 
-// Resolves sim_threads = 0 (auto) before anything consumes config.sim: the
-// simulator and every EvalPool worker are built from it (and FuzzerBase's
-// member order initializes simulator_ before eval_threads_). Auto gives the
-// intra-tick pool whatever the eval fan-out leaves of the machine, so
-// eval x sim never oversubscribes by default; an explicit request passes
-// through untouched (oversubscription is then the caller's choice — results
-// are identical regardless).
-FuzzerConfig resolve_fuzzer_threads(FuzzerConfig config) {
-  if (config.sim.sim_threads <= 0) {
-    const int eval =
-        config.eval_threads > 0 ? config.eval_threads : hardware_threads();
-    config.sim.sim_threads =
-        std::max(hardware_threads() / std::max(eval, 1), 1);
-  }
-  return config;
-}
-
-// Shared plumbing: clean run, seed scheduling, bookkeeping.
+// Shared plumbing: clean run, seed scheduling, bookkeeping. `config` arrives
+// with its thread widths resolved (make_fuzzer).
 class FuzzerBase : public Fuzzer {
  public:
   FuzzerBase(FuzzerConfig config,
              std::shared_ptr<const swarm::SwarmController> controller)
-      : config_(resolve_fuzzer_threads(std::move(config))),
+      : config_(std::move(config)),
         controller_(controller != nullptr
                         ? std::move(controller)
                         : std::make_shared<swarm::VasarhelyiController>()),
         system_(controller_, config_.comm),
-        simulator_(config_.sim),
-        eval_threads_(config_.eval_threads > 0 ? config_.eval_threads
-                                               : hardware_threads()) {
-    // An explicit eval_threads is honoured as-is (oversubscription is the
-    // caller's choice; results are identical regardless); only the 0 = auto
-    // case consults the hardware. Campaigns pre-split their budget via
-    // split_eval_threads before configuring workers.
-    if (eval_threads_ > 1) {
+        simulator_(config_.sim) {
+    if (config_.eval_threads > 1) {
       pool_ = std::make_unique<EvalPool>(config_.sim, controller_, config_.comm,
-                                         eval_threads_);
+                                         config_.eval_threads);
     }
   }
 
@@ -92,7 +69,7 @@ class FuzzerBase : public Fuzzer {
     result.simulations = 1;
     result.sim_steps_executed = clean.steps_executed;
     result.clean_mission_time = clean.end_time;
-    result.eval_parallelism = eval_threads_;
+    result.eval_parallelism = config_.eval_threads;
     if (clean.collided) {
       // The paper's step (1): missions that fail without any attack are not
       // fuzzed.
@@ -159,8 +136,7 @@ class FuzzerBase : public Fuzzer {
   sim::Simulator simulator_;
   PrefixCache prefix_;   // clean-run checkpoints of the current mission
   EvalGuards guards_{};  // armed at fuzz() entry, shared by all evaluations
-  int eval_threads_ = 1;
-  std::unique_ptr<EvalPool> pool_;  // non-null iff eval_threads_ > 1
+  std::unique_ptr<EvalPool> pool_;  // non-null iff config_.eval_threads > 1
 };
 
 // Runs the gradient search over an ordered seed list (SwarmFuzz / G_Fuzz).
@@ -608,8 +584,19 @@ std::string_view fuzzer_kind_name(FuzzerKind kind) noexcept {
 }
 
 std::unique_ptr<Fuzzer> make_fuzzer(
-    FuzzerKind kind, const FuzzerConfig& config,
+    FuzzerKind kind, FuzzerConfig config,
     std::shared_ptr<const swarm::SwarmController> controller) {
+  // Resolve eval_threads and sim_threads = 0 (auto) before anything consumes
+  // the config: the simulator and every EvalPool lane are built from it. An
+  // auto width takes what the other axis leaves of the machine, so eval x
+  // sim never oversubscribes by default; an explicit request passes through
+  // untouched (oversubscription is then the caller's choice — results are
+  // identical regardless). Campaigns pre-split their budget in
+  // worker_fuzzer_config, so their requests arrive explicit.
+  const util::ThreadBudget budget = util::resolve_thread_budget(
+      config.eval_threads, config.sim.sim_threads, util::hardware_threads());
+  config.eval_threads = budget.eval_threads;
+  config.sim.sim_threads = budget.sim_threads;
   switch (kind) {
     case FuzzerKind::kSwarmFuzz:
       return std::make_unique<SwarmFuzzer>(config, std::move(controller));

@@ -78,13 +78,14 @@ struct FuzzerConfig {
   double checkpoint_period = 1.0;
   // Eval-thread count for the gradient search's batch evaluations (the
   // multi-start candidates and each iteration's FD stencil): 1 (default)
-  // evaluates serially, N > 1 fans batches out over an EvalPool of N worker
-  // threads, 0 resolves to the hardware concurrency. Results are
-  // bit-identical for any value (see Objective::evaluate_batch); campaigns
-  // split the machine between mission workers, eval threads and intra-tick
-  // sim threads (fuzz::split_thread_budget) so
+  // evaluates serially, N > 1 fans batches out over an EvalPool N lanes
+  // wide, 0 = auto: the hardware concurrency divided by an explicit
+  // sim.sim_threads (util::resolve_thread_budget). Results are bit-identical
+  // for any value (see Objective::evaluate_batch); campaigns split the
+  // machine between mission workers, eval threads and intra-tick sim
+  // threads (fuzz::split_thread_budget) so
   // workers x eval_threads x sim.sim_threads stays within the hardware.
-  // sim.sim_threads composes with this: each eval thread's simulator may
+  // sim.sim_threads composes with this: each eval lane's simulator may
   // additionally parallelize inside a tick (sim.sim_threads = 0 here means
   // auto = whatever the eval fan-out leaves of the machine).
   int eval_threads = 1;
@@ -152,10 +153,11 @@ class Fuzzer {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
-// Builds a fuzzer of `kind`. The controller defaults to Vasarhelyi when
+// Builds a fuzzer of `kind`, resolving config's auto (0) thread widths with
+// util::resolve_thread_budget. The controller defaults to Vasarhelyi when
 // `controller` is null.
 [[nodiscard]] std::unique_ptr<Fuzzer> make_fuzzer(
-    FuzzerKind kind, const FuzzerConfig& config,
+    FuzzerKind kind, FuzzerConfig config,
     std::shared_ptr<const swarm::SwarmController> controller = nullptr);
 
 }  // namespace swarmfuzz::fuzz

@@ -167,10 +167,14 @@ Objective::Objective(const sim::MissionSpec& mission, const sim::Simulator& simu
   }
 }
 
+void project_window(double& t_start, double& duration, double t_mission,
+                    double dt_min) noexcept {
+  t_start = std::min(std::max(t_start, 0.0), t_mission - dt_min);
+  duration = std::min(std::max(duration, dt_min), t_mission - t_start);
+}
+
 void Objective::project(double& t_start, double& duration) const {
-  const double dt_min = simulator_.config().dt;
-  t_start = std::clamp(t_start, 0.0, t_mission_ - dt_min);
-  duration = std::clamp(duration, dt_min, t_mission_ - t_start);
+  project_window(t_start, duration, t_mission_, simulator_.config().dt);
 }
 
 namespace {
@@ -291,7 +295,6 @@ void Objective::evaluate_groups(std::span<const ObjectiveBatch> groups,
   std::vector<EvalPool::JobResult> results;
   if (!jobs.empty()) {
     const EvalPool::BatchContext context{.mission = &lead->mission_,
-                                         .seed = lead->seed_,
                                          .spoof_distance = lead->spoof_distance_,
                                          .prefix = lead->prefix_,
                                          .guards = lead->guards_};

@@ -67,6 +67,14 @@ struct EvalRequest {
 // exactly as a serial caller that stopped issuing evaluate() calls.
 using BatchConsumer = std::function<bool(std::size_t, const ObjectiveEval&)>;
 
+// Clamps (t_s, dt) into the feasible region 0 <= t_s <= t_mission - dt_min,
+// dt_min <= dt <= t_mission - t_s. When t_mission - t_s rounds below dt_min
+// the upper bound wins (dt = t_mission - t_s): the result is min(max(v, lo),
+// hi) for both coordinates, bit for bit what std::clamp computes where its
+// lo <= hi precondition holds, and defined where it does not.
+void project_window(double& t_start, double& duration, double t_mission,
+                    double dt_min) noexcept;
+
 // Abstract objective over (t_s, dt): what the gradient search minimises.
 // Split from the simulator-backed Objective so the optimizer can be tested
 // (and reused) against synthetic landscapes.
@@ -96,7 +104,7 @@ class ObjectiveFunction {
 // samples from the source recorder (see sim/recorder.h). Populate from one
 // thread (on_checkpoint/set_source/clear are not synchronised); once
 // populated, the const lookups (latest_at_or_before/source) are safe to
-// call concurrently — EvalPool workers share one cache this way.
+// call concurrently — EvalPool lanes share one cache this way.
 class PrefixCache final : public sim::CheckpointSink {
  public:
   void on_checkpoint(sim::SimulationCheckpoint&& checkpoint) override;
@@ -150,7 +158,7 @@ struct AttackEvalOutcome {
 
 // Runs one attacked mission for the (already projected) spoofing window:
 // the stateless core of Objective::evaluate, also executed by EvalPool
-// workers against their own simulator/system clones. Mutates only `system`
+// lanes against their own simulator/system clones. Mutates only `system`
 // (each caller must own its clone); `prefix` is only read. Throws
 // sim::RunFaultError on guard trips or numerical divergence and
 // std::logic_error on a prefix cache with checkpoints but no source.

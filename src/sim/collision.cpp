@@ -70,70 +70,52 @@ std::optional<CollisionEvent> CollisionMonitor::check(
     }
     grid.build(std::span<const Vec3>(pos), std::max(thr, 1e-3));
     if (grid.valid()) {
-      if (exec.parallel()) {
-        // Each lane records its chunk's first obstacle event and first pair
-        // event; a lane stops each scan at its first hit (later drones in
-        // the chunk can only yield later events).
-        exec.pool->parallel_for(n, [&](int begin, int end, int lane) {
-          swarm::PairScanScratch& s = ctx.lane(lane);
-          s.first_event = {};
-          for (int i = begin; i < end; ++i) {
-            const int k = first_obstacle(i);
-            if (k >= 0) {
-              s.first_event.obstacle_drone = i;
-              s.first_event.obstacle_other = k;
+      // Each lane records its chunk's first obstacle event and first pair
+      // event; a lane stops each scan at its first hit (later drones in
+      // the chunk can only yield later events). A serial executor runs the
+      // whole range as lane 0.
+      exec.for_range(n, [&](int begin, int end, int lane) {
+        swarm::PairScanScratch& s = ctx.lane(lane);
+        s.first_event = {};
+        for (int i = begin; i < end; ++i) {
+          const int k = first_obstacle(i);
+          if (k >= 0) {
+            s.first_event.obstacle_drone = i;
+            s.first_event.obstacle_other = k;
+            break;
+          }
+        }
+        for (int i = begin; i < end && s.first_event.pair_drone < 0; ++i) {
+          s.cand.clear();
+          grid.gather(pos[static_cast<size_t>(i)], thr, s.cand);
+          for (const int j : s.cand) {
+            if (j <= i) continue;
+            if (pair_test(i, j)) {
+              s.first_event.pair_drone = i;
+              s.first_event.pair_other = j;
               break;
             }
           }
-          for (int i = begin; i < end && s.first_event.pair_drone < 0; ++i) {
-            s.cand.clear();
-            grid.gather(pos[static_cast<size_t>(i)], thr, s.cand);
-            for (const int j : s.cand) {
-              if (j <= i) continue;
-              if (pair_test(i, j)) {
-                s.first_event.pair_drone = i;
-                s.first_event.pair_other = j;
-                break;
-              }
-            }
-          }
-        });
-        // Deterministic reduction matching the serial order: the serial
-        // loop runs EVERY obstacle check before the first pair check, so
-        // any obstacle event beats any pair event; within a class the
-        // lowest lane holds the globally first event because chunks are
-        // ascending and contiguous.
-        for (int lane = 0; lane < exec.pool->threads(); ++lane) {
-          const swarm::FirstEventSlots& e = ctx.lane(lane).first_event;
-          if (e.obstacle_drone >= 0) {
-            return CollisionEvent{CollisionKind::kDroneObstacle, time,
-                                  e.obstacle_drone, e.obstacle_other};
-          }
         }
-        for (int lane = 0; lane < exec.pool->threads(); ++lane) {
-          const swarm::FirstEventSlots& e = ctx.lane(lane).first_event;
-          if (e.pair_drone >= 0) {
-            return CollisionEvent{CollisionKind::kDroneDrone, time,
-                                  e.pair_drone, e.pair_other};
-          }
-        }
-        return std::nullopt;
-      }
-      for (int i = 0; i < n; ++i) {
-        const int k = first_obstacle(i);
-        if (k >= 0) {
-          return CollisionEvent{CollisionKind::kDroneObstacle, time, i, k};
+      });
+      // Deterministic reduction matching the serial order: the serial
+      // loop runs EVERY obstacle check before the first pair check, so
+      // any obstacle event beats any pair event; within a class the
+      // lowest lane holds the globally first event because chunks are
+      // ascending and contiguous.
+      const int lanes = exec.parallel() ? exec.pool->threads() : 1;
+      for (int lane = 0; lane < lanes; ++lane) {
+        const swarm::FirstEventSlots& e = ctx.lane(lane).first_event;
+        if (e.obstacle_drone >= 0) {
+          return CollisionEvent{CollisionKind::kDroneObstacle, time,
+                                e.obstacle_drone, e.obstacle_other};
         }
       }
-      std::vector<int>& cand = ctx.lane(0).cand;
-      for (int i = 0; i < n; ++i) {
-        cand.clear();
-        grid.gather(pos[static_cast<size_t>(i)], thr, cand);
-        for (const int j : cand) {
-          if (j <= i) continue;
-          if (pair_test(i, j)) {
-            return CollisionEvent{CollisionKind::kDroneDrone, time, i, j};
-          }
+      for (int lane = 0; lane < lanes; ++lane) {
+        const swarm::FirstEventSlots& e = ctx.lane(lane).first_event;
+        if (e.pair_drone >= 0) {
+          return CollisionEvent{CollisionKind::kDroneDrone, time,
+                                e.pair_drone, e.pair_other};
         }
       }
       return std::nullopt;

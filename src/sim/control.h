@@ -11,10 +11,9 @@
 
 #include "sim/mission.h"
 #include "sim/types.h"
+#include "util/worker_pool.h"
 
 namespace swarmfuzz::sim {
-
-class TickPool;
 
 // Computes one desired velocity per drone from the shared broadcast picture.
 // Implementations may keep state (e.g. a communication model with packet
@@ -30,7 +29,7 @@ class ControlSystem {
   // outlives the binding). Implementations that opt in MUST stay
   // bit-identical for every pool size — the pool exists to move wall time,
   // never results. The default ignores the pool and stays serial.
-  virtual void set_tick_pool(TickPool* pool) { (void)pool; }
+  virtual void set_tick_pool(util::WorkerPool* pool) { (void)pool; }
 
   // `desired` has exactly snapshot.size() entries, filled in id order.
   virtual void compute(const WorldSnapshot& snapshot, const MissionSpec& mission,

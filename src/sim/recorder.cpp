@@ -67,6 +67,12 @@ void Recorder::restore(const RecorderCheckpoint& state, const Recorder& source) 
     // the source is from a different run (or a different record cadence).
     throw std::invalid_argument("Recorder: restore source mismatch");
   }
+  // Capacity for the source's whole run up front: the resumed run records
+  // about as many samples, and growing by doubling instead frees a chain of
+  // large blocks per run, which glibc's main-thread arena answers by
+  // trimming and re-faulting the heap top on every evaluation.
+  times_.reserve(source.times_.size());
+  states_.reserve(source.states_.size());
   times_.assign(source.times_.begin(), source.times_.begin() + k);
   states_.assign(source.states_.begin(),
                  source.states_.begin() +

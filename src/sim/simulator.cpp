@@ -42,7 +42,11 @@ void validate_checkpoint(const SimulationCheckpoint& cp, int n,
 
 }  // namespace
 
-Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
+Simulator::Simulator(SimulationConfig config)
+    : config_(std::move(config)),
+      sim_threads_(util::resolve_thread_budget(1, config_.sim_threads,
+                                               util::hardware_threads())
+                       .sim_threads) {
   if (config_.dt <= 0.0) throw std::invalid_argument("Simulator: dt <= 0");
 }
 
@@ -82,21 +86,18 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
   World world(mission, config_.vehicle, config_.point_mass, config_.quadrotor);
   CollisionMonitor monitor(mission.drone_radius);
 
-  // Intra-tick worker pool, resolved per run (sim_threads = 0 tracks the
-  // host) and recreated only when the resolved width changes. Missions below
-  // kSerialTickThreshold stay serial: the handoff would cost more than the
-  // scans. The pool is handed to the control system for the duration of the
-  // run and detached on every exit path; the collision monitor gets its own
-  // lane context since check() runs outside control.compute().
-  TickPool* pool = nullptr;
-  if (n >= kSerialTickThreshold) {
-    const int threads = resolve_sim_threads(config_.sim_threads);
-    if (threads > 1) {
-      if (tick_pool_ == nullptr || tick_pool_->threads() != threads) {
-        tick_pool_ = std::make_unique<TickPool>(threads);
-      }
-      pool = tick_pool_.get();
+  // Intra-tick worker pool, created on the first run that needs it.
+  // Missions below kSerialTickThreshold stay serial: the handoff would cost
+  // more than the scans. The pool is handed to the control system for the
+  // duration of the run and detached on every exit path; the collision
+  // monitor gets its own lane context since check() runs outside
+  // control.compute().
+  util::WorkerPool* pool = nullptr;
+  if (n >= kSerialTickThreshold && sim_threads_ > 1) {
+    if (tick_pool_ == nullptr) {
+      tick_pool_ = std::make_unique<util::WorkerPool>(sim_threads_);
     }
+    pool = tick_pool_.get();
   }
   swarm::TickContext collision_context(pool != nullptr ? pool->threads() : 1);
   const swarm::TickExecutor tick_exec{pool, &collision_context};

@@ -21,8 +21,8 @@
 #include "sim/mission.h"
 #include "sim/nav_filter.h"
 #include "sim/recorder.h"
-#include "sim/tick_pool.h"
 #include "sim/world.h"
+#include "util/worker_pool.h"
 
 namespace swarmfuzz::sim {
 
@@ -35,6 +35,12 @@ class StepObserver {
   virtual void on_step(double time, const WorldSnapshot& snapshot,
                        std::span<const DroneState> truth) = 0;
 };
+
+// Swarms below this size stay on the serial tick path: chunk handoff costs
+// more than a sub-32-drone pair scan, so paper-scale 5-15-drone missions pay
+// zero overhead. Deliberately equal to SpatialGridPolicy's default
+// min_drones — the parallel kernels only exist on the grid fast paths.
+inline constexpr int kSerialTickThreshold = 32;
 
 struct SimulationConfig {
   double dt = 0.05;               // control/physics step, s
@@ -61,7 +67,8 @@ struct SimulationConfig {
   double divergence_limit = 1e6;
   // Intra-tick worker threads for the per-drone hot loops (controller batch
   // kernels, lossless comm filtering, collision scans). 0 = auto (all
-  // hardware threads); 1 (the default) = serial. Results are bit-identical
+  // hardware threads, util::resolve_thread_budget); 1 (the default) =
+  // serial. Results are bit-identical
   // for every value — static contiguous chunking preserves each drone's
   // accumulation order (DESIGN.md §15) — and swarms below
   // kSerialTickThreshold stay on the serial path regardless.
@@ -155,12 +162,15 @@ class Simulator {
 
  private:
   SimulationConfig config_;
-  // Lazily created per-run worker pool (only when the resolved sim_threads
-  // exceeds 1 and the mission is large enough to leave the serial path).
+  // config_.sim_threads with 0 = auto resolved at construction: a plain
+  // simulation is one eval lane, so auto is the whole machine.
+  int sim_threads_ = 1;
+  // Lazily created worker pool (only when sim_threads_ exceeds 1 and the
+  // mission is large enough to leave the serial path).
   // mutable because run() is const; safe because a Simulator instance is
   // driven by one thread at a time — concurrent fuzzing goes through
-  // EvalPool, whose workers each own their own Simulator.
-  mutable std::unique_ptr<TickPool> tick_pool_;
+  // EvalPool, whose lanes each own their own Simulator.
+  mutable std::unique_ptr<util::WorkerPool> tick_pool_;
 };
 
 }  // namespace swarmfuzz::sim

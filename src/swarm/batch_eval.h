@@ -42,7 +42,7 @@ void evaluate_all_with_cutoff(const sim::WorldSnapshot& snapshot, double cutoff,
     grid.build(std::span<const math::Vec3>(snapshot.gps_position),
                std::max(cutoff, 1e-3));
     if (grid.valid()) {
-      auto run_range = [&](int begin, int end, int lane) {
+      exec.for_range(n, [&](int begin, int end, int lane) {
         std::vector<int>& cand = ctx.lane(lane).cand;
         for (int i = begin; i < end; ++i) {
           cand.clear();
@@ -58,12 +58,7 @@ void evaluate_all_with_cutoff(const sim::WorldSnapshot& snapshot, double cutoff,
           desired[static_cast<size_t>(i)] =
               eval(NeighborView(snapshot, cand, self_index));
         }
-      };
-      if (exec.parallel()) {
-        exec.pool->parallel_for(n, run_range);
-      } else {
-        run_range(0, n, 0);
-      }
+      });
       return;
     }
   }

@@ -21,7 +21,7 @@ void FlockingControlSystem::reset(const sim::MissionSpec& /*mission*/,
   comm_.reset(seed);
 }
 
-void FlockingControlSystem::set_tick_pool(sim::TickPool* pool) {
+void FlockingControlSystem::set_tick_pool(util::WorkerPool* pool) {
   tick_pool_ = pool;
   tick_context_.resize_lanes(pool != nullptr ? pool->threads() : 1);
 }
@@ -48,14 +48,14 @@ void FlockingControlSystem::compute(const sim::WorldSnapshot& snapshot,
   if (static_cast<int>(desired.size()) != n) {
     throw std::invalid_argument("FlockingControlSystem: desired size mismatch");
   }
+  const TickExecutor exec{tick_pool_, &tick_context_};
   // Trivial communication (the paper's evaluation default): every view is
   // the whole broadcast and the zero drop probability consumes no packet-
   // loss randomness, so dispatching to the controller's batch entry point
   // is observationally identical to the per-drone loop below — including
   // the RNG stream — while letting the controller share work across drones.
   if (std::isinf(comm_.config().range) && comm_.config().drop_probability == 0.0) {
-    controller_->desired_velocity_all(snapshot, mission, desired,
-                                      TickExecutor{tick_pool_, &tick_context_});
+    controller_->desired_velocity_all(snapshot, mission, desired, exec);
     return;
   }
   // Range-limited communication: one spatial grid for the whole tick culls
@@ -76,7 +76,6 @@ void FlockingControlSystem::compute(const sim::WorldSnapshot& snapshot,
   // Gated on the canonical broadcast layout (drone id i at slot i, what the
   // simulator emits) so filter_at's receiver-by-slot addressing resolves
   // self exactly like filter_into's first-matching-id scan.
-  const TickExecutor exec{tick_pool_, &tick_context_};
   if (comm_.config().drop_probability == 0.0 && exec.parallel()) {
     bool canonical = true;
     for (int i = 0; i < n && canonical; ++i) {

@@ -31,7 +31,7 @@ class FlockingControlSystem final : public sim::ControlSystem {
   // Borrowed per-run tick pool: compute() hands it to the controller batch
   // path and (for lossless range-limited comm) chunks the per-receiver
   // filter loop across it. Results stay bit-identical for any pool size.
-  void set_tick_pool(sim::TickPool* pool) override;
+  void set_tick_pool(util::WorkerPool* pool) override;
 
   // Checkpoint hooks: the only mutable per-mission state is the comm
   // packet-loss RNG, saved as its four xoshiro256++ words.
@@ -64,7 +64,7 @@ class FlockingControlSystem final : public sim::ControlSystem {
   CommModel comm_;
   std::vector<int> members_;  // filter_into scratch, reused across ticks
   SpatialGrid comm_grid_;     // per-tick range-culling grid, buffers reused
-  sim::TickPool* tick_pool_ = nullptr;  // borrowed, bound per run
+  util::WorkerPool* tick_pool_ = nullptr;  // borrowed, bound per run
   TickContext tick_context_;            // one scratch lane per pool thread
 };
 

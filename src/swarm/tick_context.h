@@ -10,7 +10,7 @@
 //   * the gather/selection buffers — LANE-PRIVATE mutable scratch.
 // TickContext makes the split explicit: one grid built by the calling
 // thread before the workers start, plus one PairScanScratch lane per pool
-// thread. Workers index their lane by the chunk id TickPool hands them, so
+// thread. Workers index their lane by the lane id the pool hands them, so
 // no two lanes ever share a buffer and nothing is thread_local.
 //
 // Scratch contents never influence results (every buffer is cleared or
@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "math/vec3.h"
-#include "sim/tick_pool.h"
 #include "swarm/spatial_grid.h"
+#include "util/worker_pool.h"
 
 namespace swarmfuzz::swarm {
 
@@ -89,18 +89,30 @@ class TickContext {
 // is the single gate every kernel checks: a pool with real workers AND a
 // context with a scratch lane for each of them.
 struct TickExecutor {
-  sim::TickPool* pool = nullptr;
+  util::WorkerPool* pool = nullptr;
   TickContext* context = nullptr;
 
   [[nodiscard]] bool parallel() const noexcept {
     return pool != nullptr && pool->threads() > 1 && context != nullptr &&
            context->lanes() >= pool->threads();
   }
+
+  // Runs fn(begin, end, lane) over [0, n): the pool's static contiguous
+  // chunks when parallel(), otherwise the whole range inline as lane 0 —
+  // one code path for both, with lane-indexed scratch either way.
+  template <typename Fn>
+  void for_range(int n, Fn&& fn) const {
+    if (parallel()) {
+      pool->parallel_for(n, fn);
+    } else if (n > 0) {
+      fn(0, n, 0);
+    }
+  }
 };
 
 // One-lane fallback context for callers outside a parallel tick (per-view
 // kernels, counterfactual probes, metrics, direct test calls). Thread-local
-// so concurrent EvalPool/TickPool workers each reuse their own — persistent
+// so concurrent pool workers each reuse their own — persistent
 // worker threads keep their buffers across ticks, so steady state stays
 // allocation-free on every thread.
 [[nodiscard]] TickContext& thread_tick_context() noexcept;

@@ -332,7 +332,7 @@ void VasarhelyiController::desired_velocity_all(const WorldSnapshot& snapshot,
       SpatialGrid& grid = ctx.grid();
       grid.build(std::span<const Vec3>(pos), std::max(r_pair, 1e-3));
       if (grid.valid()) {
-        auto run_range = [&](int begin, int end, int lane) {
+        exec.for_range(n, [&](int begin, int end, int lane) {
           PairScanScratch& s = ctx.lane(lane);
           for (int i = begin; i < end; ++i) {
             const Vec3& self_pos = pos[static_cast<size_t>(i)];
@@ -403,12 +403,7 @@ void VasarhelyiController::desired_velocity_all(const WorldSnapshot& snapshot,
             desired[static_cast<size_t>(i)] =
                 terms.total().clamped(params_.v_max);
           }
-        };
-        if (exec.parallel()) {
-          exec.pool->parallel_for(n, run_range);
-        } else {
-          run_range(0, n, 0);
-        }
+        });
         return;
       }
     }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <stdexcept>
@@ -12,50 +13,22 @@
 #include "fuzz/campaign.h"
 #include "fuzz/fuzzer.h"
 #include "sim/fault.h"
+#include "sim/simulator.h"
+#include "swarm/flocking_system.h"
 #include "swarm/vasarhelyi.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
 
 // ---------------------------------------------------------------------------
-// split_eval_threads: the campaign's workers/eval-threads budget split.
-
-TEST(EvalPool, SplitEvalThreadsAutoDividesHardware) {
-  EXPECT_EQ(split_eval_threads(1, 0, 8), 8);
-  EXPECT_EQ(split_eval_threads(2, 0, 8), 4);
-  EXPECT_EQ(split_eval_threads(3, 0, 8), 2);  // floor(8 / 3)
-  EXPECT_EQ(split_eval_threads(8, 0, 8), 1);
-  EXPECT_EQ(split_eval_threads(16, 0, 8), 1);  // oversubscribed workers
-}
-
-TEST(EvalPool, SplitEvalThreadsClampsExplicitRequests) {
-  EXPECT_EQ(split_eval_threads(2, 2, 8), 2);   // fits: honoured
-  EXPECT_EQ(split_eval_threads(2, 16, 8), 4);  // clamped to hardware / workers
-  EXPECT_EQ(split_eval_threads(8, 4, 8), 1);   // no headroom left
-  EXPECT_EQ(split_eval_threads(1, 4, 8), 4);
-}
-
-TEST(EvalPool, SplitEvalThreadsDegenerateInputsStaySane) {
-  EXPECT_EQ(split_eval_threads(0, 0, 0), 1);
-  EXPECT_EQ(split_eval_threads(-3, -1, -2), 1);
-  EXPECT_EQ(split_eval_threads(1, 1, 1), 1);
-  // hardware_concurrency() == 0 ("not computable") must never produce a
-  // zero-thread worker, whatever the worker count says.
-  EXPECT_EQ(split_eval_threads(4, 0, 0), 1);
-  EXPECT_EQ(split_eval_threads(4, 8, 0), 1);
-  // Zero workers clamp to one before the division, not after.
-  EXPECT_EQ(split_eval_threads(0, 2, 8), 2);
-  EXPECT_EQ(split_eval_threads(0, 0, 8), 8);
-}
+// hardware_threads and split_thread_budget: the three-way workers x eval x
+// sim budget.
 
 TEST(EvalPool, HardwareThreadsNeverReportsZero) {
   // The standard allows hardware_concurrency() to return 0; every
   // worker-count division in the fuzzing layer relies on this floor.
   EXPECT_GE(hardware_threads(), 1);
 }
-
-// ---------------------------------------------------------------------------
-// split_thread_budget: the three-way workers x eval x sim budget.
 
 TEST(SplitThreadBudget, BothAutoKeepsHistoricalSplit) {
   // Auto-auto = all eval threads, serial ticks (the pre-sim-threads split).
@@ -106,6 +79,101 @@ TEST(SplitThreadBudget, DegenerateInputsStaySane) {
 }
 
 // ---------------------------------------------------------------------------
+// ThreadResolution: what every `0 = auto` resolves to on this host, for the
+// campaign's per-worker split, FuzzerBase and a plain Simulator. Hardware is
+// the real hardware_threads(), so expectations are written in terms of it.
+
+// Wraps the Vásárhelyi controller and records the intra-tick pool width the
+// simulator hands the batch entry point (1 when the tick runs serially).
+class PoolWidthProbe final : public swarm::SwarmController {
+ public:
+  using SwarmController::desired_velocity;
+  using SwarmController::desired_velocity_all;
+
+  swarm::Vec3 desired_velocity(const swarm::NeighborView& view,
+                               const swarm::MissionSpec& mission) const override {
+    return inner_.desired_velocity(view, mission);
+  }
+  void desired_velocity_all(const swarm::WorldSnapshot& snapshot,
+                            const swarm::MissionSpec& mission,
+                            std::span<swarm::Vec3> desired,
+                            const swarm::TickExecutor& exec) const override {
+    width = exec.pool != nullptr ? exec.pool->threads() : 1;
+    inner_.desired_velocity_all(snapshot, mission, desired, exec);
+  }
+  std::string_view name() const noexcept override { return "probe"; }
+
+  mutable int width = 0;
+
+ private:
+  swarm::VasarhelyiController inner_;
+};
+
+// 40 drones (above the serial-tick threshold, so a resolved sim width > 1
+// engages the pool) flown for a few ticks only.
+sim::MissionSpec pool_width_mission() {
+  sim::MissionConfig config;
+  config.num_drones = 40;
+  config.spawn_range = 120.0;
+  config.max_time = 0.5;
+  return sim::generate_mission(config, 91);
+}
+
+TEST(ThreadResolution, TableOverWorkersEvalSimAndHardware) {
+  const int hw = hardware_threads();
+  const auto share = [](int threads, int ways) {
+    return std::max(threads / std::max(ways, 1), 1);
+  };
+  struct Row {
+    int workers, eval, sim;
+    ThreadBudget campaign;  // worker_fuzzer_config(config, workers)
+    ThreadBudget fuzzer;    // FuzzerBase with config.fuzzer (workers unused)
+  };
+  const std::vector<Row> rows{
+      {1, 0, 0, {hw, 1}, {hw, 1}},
+      {2, 0, 0, {share(hw, 2), 1}, {hw, 1}},
+      {1, 2, 0,
+       {std::min(2, hw), share(hw, std::min(2, hw))},
+       {2, share(hw, 2)}},
+      {1, 0, 2,
+       {share(hw, std::min(2, hw)), std::min(2, hw)},
+       {share(hw, 2), 2}},
+      {1, 3, 5,
+       {std::min(3, hw), std::min(5, share(hw, std::min(3, hw)))},
+       {3, 5}},
+      {hw, hw, hw, {1, 1}, {hw, hw}},
+  };
+  const sim::MissionSpec mission = pool_width_mission();
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message() << "workers " << row.workers << " eval "
+                                      << row.eval << " sim " << row.sim
+                                      << " hardware " << hw);
+    CampaignConfig config;
+    config.fuzzer.eval_threads = row.eval;
+    config.fuzzer.sim.sim_threads = row.sim;
+    const FuzzerConfig worker = worker_fuzzer_config(config, row.workers);
+    EXPECT_EQ(worker.eval_threads, row.campaign.eval_threads);
+    EXPECT_EQ(worker.sim.sim_threads, row.campaign.sim_threads);
+
+    FuzzerConfig fuzzer = config.fuzzer;
+    fuzzer.mission_budget = 0;  // clean run only: no search, no pool batch
+    const auto probe = std::make_shared<PoolWidthProbe>();
+    const FuzzResult result =
+        make_fuzzer(FuzzerKind::kRandom, fuzzer, probe)->fuzz(mission);
+    EXPECT_EQ(result.eval_parallelism, row.fuzzer.eval_threads);
+    EXPECT_EQ(probe->width, row.fuzzer.sim_threads);
+  }
+
+  // A plain Simulator's auto is the whole machine.
+  sim::SimulationConfig sim_config;
+  sim_config.sim_threads = 0;
+  const auto probe = std::make_shared<PoolWidthProbe>();
+  swarm::FlockingControlSystem system(probe);
+  (void)sim::Simulator(sim_config).run(mission, system);
+  EXPECT_EQ(probe->width, hw);
+}
+
+// ---------------------------------------------------------------------------
 // EvalPool: batch outcomes must match direct serial evaluation bit for bit.
 
 struct PoolFixture {
@@ -130,10 +198,12 @@ TEST(EvalPool, BatchResultsMatchSerialEvaluation) {
   EvalPool pool(f.sim_config, f.controller, {}, 3);
   EXPECT_EQ(pool.threads(), 3);
 
-  const std::vector<EvalPool::Job> jobs{
-      {10.0, 20.0}, {30.0, 15.0}, {5.0, 5.0}, {18.0, 12.0}};
-  const EvalPool::BatchContext context{
-      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
+  const std::vector<EvalPool::Job> jobs{{10.0, 20.0, f.seed},
+                                        {30.0, 15.0, f.seed},
+                                        {5.0, 5.0, f.seed},
+                                        {18.0, 12.0, f.seed}};
+  const EvalPool::BatchContext context{.mission = &f.mission,
+                                       .spoof_distance = 10.0};
   const std::vector<EvalPool::JobResult> results = pool.evaluate(context, jobs);
   ASSERT_EQ(results.size(), jobs.size());
 
@@ -156,7 +226,7 @@ TEST(EvalPool, BatchResultsMatchSerialEvaluation) {
 
 TEST(EvalPool, MixedSeedBatchMatchesPerJobSerialEvaluation) {
   // One batch carrying several target-victim pairs (E_Fuzz's round): each
-  // job is evaluated under its own seed, or the context's when it has none.
+  // job is evaluated under its own seed.
   PoolFixture f;
   EvalPool pool(f.sim_config, f.controller, {}, 3);
   const Seed other{.target = 2, .victim = 3,
@@ -165,12 +235,12 @@ TEST(EvalPool, MixedSeedBatchMatchesPerJobSerialEvaluation) {
                    .direction = attack::SpoofDirection::kRight};
   const std::vector<EvalPool::Job> jobs{
       {.t_start = 10.0, .duration = 20.0, .seed = other},
-      {.t_start = 10.0, .duration = 20.0},
+      {.t_start = 10.0, .duration = 20.0, .seed = f.seed},
       {.t_start = 30.0, .duration = 15.0, .seed = third},
       {.t_start = 10.0, .duration = 20.0, .seed = f.seed},
       {.t_start = 5.0, .duration = 5.0, .seed = other}};
-  const EvalPool::BatchContext context{
-      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
+  const EvalPool::BatchContext context{.mission = &f.mission,
+                                       .spoof_distance = 10.0};
   const std::vector<EvalPool::JobResult> results = pool.evaluate(context, jobs);
   ASSERT_EQ(results.size(), jobs.size());
 
@@ -178,9 +248,8 @@ TEST(EvalPool, MixedSeedBatchMatchesPerJobSerialEvaluation) {
   swarm::FlockingControlSystem system(f.controller, {});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_FALSE(results[i].error) << "job " << i;
-    const Seed& seed = jobs[i].seed ? *jobs[i].seed : f.seed;
     const AttackEvalOutcome serial =
-        evaluate_attack(f.mission, simulator, system, seed, 10.0, nullptr,
+        evaluate_attack(f.mission, simulator, system, jobs[i].seed, 10.0, nullptr,
                         nullptr, jobs[i].t_start, jobs[i].duration);
     EXPECT_EQ(results[i].eval.f, serial.eval.f) << "job " << i;
     EXPECT_EQ(results[i].eval.success, serial.eval.success) << "job " << i;
@@ -204,9 +273,9 @@ TEST(EvalPool, SingleThreadRunsInlineWithoutWorkers) {
   PoolFixture f;
   EvalPool pool(f.sim_config, f.controller, {}, 1);
   EXPECT_EQ(pool.threads(), 1);
-  const std::vector<EvalPool::Job> jobs{{10.0, 20.0}};
-  const EvalPool::BatchContext context{
-      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
+  const std::vector<EvalPool::Job> jobs{{10.0, 20.0, f.seed}};
+  const EvalPool::BatchContext context{.mission = &f.mission,
+                                       .spoof_distance = 10.0};
   const auto results = pool.evaluate(context, jobs);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].error);
@@ -216,8 +285,8 @@ TEST(EvalPool, SingleThreadRunsInlineWithoutWorkers) {
 TEST(EvalPool, EmptyBatchReturnsEmpty) {
   PoolFixture f;
   EvalPool pool(f.sim_config, f.controller, {}, 2);
-  const EvalPool::BatchContext context{
-      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
+  const EvalPool::BatchContext context{.mission = &f.mission,
+                                       .spoof_distance = 10.0};
   EXPECT_TRUE(pool.evaluate(context, {}).empty());
 }
 
@@ -228,9 +297,9 @@ TEST(EvalPool, CapturesGuardTripsPerJob) {
   EvalPool pool(f.sim_config, f.controller, {}, 2);
   EvalGuards guards;
   guards.watchdog.max_steps = 1;
-  const std::vector<EvalPool::Job> jobs{{10.0, 20.0}, {30.0, 15.0}};
+  const std::vector<EvalPool::Job> jobs{{10.0, 20.0, f.seed},
+                                        {30.0, 15.0, f.seed}};
   const EvalPool::BatchContext context{.mission = &f.mission,
-                                       .seed = f.seed,
                                        .spoof_distance = 10.0,
                                        .guards = &guards};
   const auto results = pool.evaluate(context, jobs);
@@ -242,8 +311,7 @@ TEST(EvalPool, CapturesGuardTripsPerJob) {
 
   // The pool stays usable after a faulted batch.
   const auto ok = pool.evaluate(
-      EvalPool::BatchContext{
-          .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0},
+      EvalPool::BatchContext{.mission = &f.mission, .spoof_distance = 10.0},
       jobs);
   ASSERT_EQ(ok.size(), 2u);
   EXPECT_FALSE(ok[0].error);
@@ -454,7 +522,7 @@ TEST(ParallelSearch, GoldenQuadrotorNoPrefix) {
 
 TEST(ParallelSearch, CampaignIndependentOfEvalThreads) {
   // Campaign results must not depend on the eval-thread split either. On a
-  // small machine split_eval_threads may clamp the request back to 1; the
+  // small machine split_thread_budget may clamp the request back to 1; the
   // invariant holds for whatever split is granted.
   CampaignConfig base;
   base.mission.num_drones = 5;

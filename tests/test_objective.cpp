@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 
 #include "fuzz/optimizer.h"
@@ -83,6 +84,35 @@ TEST(Objective, ProjectionEnforcesTimingConstraints) {
   dt = 50.0;
   objective.project(t_s, dt);
   EXPECT_LE(t_s + dt, 100.0 + 1e-9);
+}
+
+// project_window is min(max(v, lo), hi) per coordinate: bit-identical to
+// std::clamp wherever lo <= hi, and still defined when the remaining window
+// t_mission - t_s rounds below dt_min (then the upper bound wins).
+TEST(Objective, ProjectWindowMatchesClampAndToleratesRoundedWindow) {
+  constexpr double kDtMin = 0.05;
+  const double t_mission = 97.35;
+  for (const double t_in : {-5.0, 0.0, 3.25, 50.0, 97.2, 97.25}) {
+    for (const double dt_in : {-1.0, 0.0, 0.05, 2.5, 40.0}) {
+      double t_s = t_in;
+      double dt = dt_in;
+      project_window(t_s, dt, t_mission, kDtMin);
+      const double t_ref = std::clamp(t_in, 0.0, t_mission - kDtMin);
+      ASSERT_LE(kDtMin, t_mission - t_ref);  // std::clamp's precondition
+      EXPECT_EQ(t_s, t_ref) << t_in << " " << dt_in;
+      EXPECT_EQ(dt, std::clamp(dt_in, kDtMin, t_mission - t_ref))
+          << t_in << " " << dt_in;
+    }
+  }
+
+  // t_s pinned to t_mission - dt_min leaves a window that rounds to just
+  // below dt_min: dt takes the window, never more.
+  double t_s = t_mission + 10.0;
+  double dt = 1.0;
+  project_window(t_s, dt, t_mission, kDtMin);
+  EXPECT_EQ(t_s, t_mission - kDtMin);
+  ASSERT_LT(t_mission - t_s, kDtMin);
+  EXPECT_EQ(dt, t_mission - t_s);
 }
 
 TEST(Objective, CountsEvaluations) {

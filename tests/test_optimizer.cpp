@@ -29,8 +29,7 @@ class Paraboloid final : public ObjectiveFunction {
   }
 
   void project(double& t_start, double& duration) const override {
-    t_start = std::clamp(t_start, 0.0, t_mission_ - 0.05);
-    duration = std::clamp(duration, 0.05, t_mission_ - t_start);
+    project_window(t_start, duration, t_mission_, 0.05);
   }
 
   int evaluations = 0;
@@ -165,8 +164,7 @@ class RecordingLinear final : public ObjectiveFunction {
     return ObjectiveEval{.f = f(t_start, duration)};
   }
   void project(double& t_start, double& duration) const override {
-    t_start = std::clamp(t_start, 0.0, kT - kDtMin);
-    duration = std::clamp(duration, kDtMin, kT - t_start);
+    project_window(t_start, duration, kT, kDtMin);
   }
 
   std::vector<std::pair<double, double>> calls;

@@ -26,12 +26,12 @@
 #include <vector>
 
 #include "sim/simulator.h"
-#include "sim/tick_pool.h"
 #include "swarm/comm.h"
 #include "swarm/flocking_system.h"
 #include "swarm/olfati_saber.h"
 #include "swarm/spatial_grid.h"
 #include "swarm/vasarhelyi.h"
+#include "util/worker_pool.h"
 
 namespace {
 
@@ -343,7 +343,7 @@ TEST(SimulatorPerfEquivalence, SteadyStateGridPathDoesNotAllocate) {
 // The parallel tick path makes the same zero-allocation claim as the serial
 // one: after warm-up (which grows every lane's scratch and each persistent
 // worker's thread-local context), chunked compute() over a multi-thread
-// TickPool performs no heap allocation — the generation handoff itself is
+// WorkerPool performs no heap allocation — the generation handoff itself is
 // allocation-free by construction.
 TEST(ParallelTickAllocation, SteadyStateThreadedComputeDoesNotAllocate) {
   const GridPolicyScope scope(true, 2);  // force the grid paths for n = 40
@@ -361,7 +361,7 @@ TEST(ParallelTickAllocation, SteadyStateThreadedComputeDoesNotAllocate) {
   }
   std::vector<sim::Vec3> desired(static_cast<size_t>(n));
 
-  sim::TickPool pool(4);
+  util::WorkerPool pool(4);
   swarm::FlockingControlSystem batch(
       std::make_shared<swarm::VasarhelyiController>(), swarm::CommConfig{});
   batch.reset(mission, 123);
