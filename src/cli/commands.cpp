@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -434,8 +435,9 @@ int emit_campaign_report(const fuzz::CampaignResult& result,
               config.fuzzer.spoof_distance, config.num_missions);
   std::printf("  success rate      %.1f%%  (95%% CI %.1f%% - %.1f%%)\n",
               result.success_rate() * 100.0, ci.low * 100.0, ci.high * 100.0);
-  std::printf("  avg iterations    %.2f (all) / %.2f (successful)\n",
-              result.avg_iterations_all(), result.avg_iterations_successful());
+  std::printf("  avg iterations    %s (all) / %s (successful)\n",
+              util::format_double(result.avg_iterations_all()).c_str(),
+              util::format_double(result.avg_iterations_successful()).c_str());
   const auto vdos = result.mission_vdos();
   std::printf("  mission VDO       median %.2f m\n", math::median(vdos));
   const std::int64_t executed = result.total_sim_steps_executed();
@@ -821,30 +823,130 @@ int print_usage() {
       "common options: --drones=N --seed=N --distance=M --controller=vasarhelyi|\n"
       "                olfati|reynolds --dt=S --gps-rate=HZ --nav-filter\n"
       "                --vehicle=pointmass|quadrotor --spawn-range=M (spawn box\n"
-      "                edge; widen for swarms above ~30 drones)\n");
+      "                edge; widen for swarms above ~30 drones)\n"
+      "<command> --help prints this usage; a flag the command does not read\n"
+      "is an error (exit 2).\n");
   return 64;
+}
+
+namespace {
+
+// The flags each subcommand reads, grouped the way the option readers above
+// share them. Anything else on a command line is a typo the command would
+// silently ignore (running with its defaults), so dispatch rejects it.
+constexpr std::string_view kMissionFlags[] = {"drones", "obstacles", "spawn-range", "seed"};
+constexpr std::string_view kSimFlags[] = {"dt", "gps-rate", "gps-noise", "nav-filter",
+                                          "sim-threads", "vehicle"};
+constexpr std::string_view kCampaignFlags[] = {
+    "drones", "distance", "budget", "no-prefix-reuse", "checkpoint-period",
+    "missions", "seed", "threads", "eval-threads", "fuzzer", "mission-timeout",
+    "eval-max-steps", "novelty-bins", "evo-batch", "max-corpus",
+    "max-fault-retries", "clean-retries", "fail-fast", "fault-inject",
+    "controller"};
+constexpr std::string_view kReportFlags[] = {"summary", "json"};
+constexpr std::string_view kRunFlags[] = {"controller"};
+constexpr std::string_view kFuzzFlags[] = {
+    "distance", "budget", "no-prefix-reuse", "checkpoint-period",
+    "mission-timeout", "eval-max-steps", "eval-threads", "novelty-bins",
+    "evo-batch", "max-corpus", "corpus-dir", "fuzzer", "controller", "json"};
+constexpr std::string_view kCampaignOnlyFlags[] = {"checkpoint", "resume", "quarantine",
+                                                   "telemetry", "progress"};
+constexpr std::string_view kSvgFlags[] = {"controller", "distance"};
+constexpr std::string_view kReplayFlags[] = {"target", "direction", "start",
+                                             "duration", "distance", "controller",
+                                             "detect", "detect-threshold"};
+constexpr std::string_view kServeFlags[] = {
+    "dir", "leases", "lease-ttl", "coordinate", "coordinate-timeout",
+    "coordinate-poll", "stale-heartbeat-periods", "straggler-rate-fraction",
+    "min-observations", "stall-factor", "min-recarve-missions", "recarve-pieces",
+    "wait", "wait-timeout"};
+constexpr std::string_view kShardFlags[] = {"dir", "owner", "chaos"};
+constexpr std::string_view kMergeFlags[] = {"dir", "wait", "wait-timeout",
+                                            "allow-partial", "golden"};
+constexpr std::string_view kDirFlag[] = {"dir"};
+
+struct Command {
+  std::string_view name;
+  int (*run)(const util::Options&);
+  std::vector<std::span<const std::string_view>> flags;
+};
+
+const Command* find_command(std::string_view name) {
+  static const std::vector<Command> table = {
+      {"run", cmd_run, {kMissionFlags, kSimFlags, kRunFlags}},
+      {"fuzz", cmd_fuzz, {kMissionFlags, kSimFlags, kFuzzFlags}},
+      {"campaign", cmd_campaign,
+       {kCampaignFlags, kSimFlags, kCampaignOnlyFlags, kReportFlags}},
+      {"svg", cmd_svg, {kMissionFlags, kSimFlags, kSvgFlags}},
+      {"replay", cmd_replay, {kMissionFlags, kSimFlags, kReplayFlags}},
+      {"serve", cmd_serve, {kCampaignFlags, kSimFlags, kServeFlags}},
+      {"shard", cmd_shard, {kShardFlags}},
+      {"merge", cmd_merge, {kMergeFlags, kReportFlags}},
+      {"resume-holes", cmd_resume_holes, {kDirFlag}},
+  };
+  for (const Command& command : table) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
+}
+
+bool has_help_flag(const util::Options& options) {
+  const std::vector<std::string> given = options.flags();
+  return std::find(given.begin(), given.end(), "help") != given.end();
+}
+
+}  // namespace
+
+std::vector<std::string> unknown_flags(std::string_view command,
+                                       const util::Options& options) {
+  const Command* entry = find_command(command);
+  if (entry == nullptr) {
+    throw std::invalid_argument("unknown command: " + std::string{command});
+  }
+  std::vector<std::string> unknown;
+  for (const std::string& flag : options.flags()) {
+    const auto reads = [&](std::span<const std::string_view> group) {
+      return std::find(group.begin(), group.end(), flag) != group.end();
+    };
+    if (flag != "help" && std::none_of(entry->flags.begin(), entry->flags.end(), reads)) {
+      unknown.push_back(flag);
+    }
+  }
+  return unknown;
 }
 
 int dispatch(int argc, const char* const* argv) {
   const util::Options options = util::Options::parse(argc, argv);
-  if (options.positional().empty()) return print_usage();
-  const std::string& command = options.positional().front();
+  const bool help = has_help_flag(options);
+  if (options.positional().empty()) {
+    const int code = print_usage();
+    return help ? 0 : code;
+  }
+  const std::string& name = options.positional().front();
+  const Command* command = find_command(name);
+  if (command == nullptr) {
+    std::fprintf(stderr, "unknown command: %s\n\n", name.c_str());
+    return print_usage();
+  }
+  if (help) {
+    print_usage();
+    return 0;
+  }
+  if (const std::vector<std::string> unknown = unknown_flags(name, options);
+      !unknown.empty()) {
+    for (const std::string& flag : unknown) {
+      std::fprintf(stderr, "swarmfuzz %s: unknown flag --%s\n", name.c_str(),
+                   flag.c_str());
+    }
+    std::fprintf(stderr, "see 'swarmfuzz %s --help'\n", name.c_str());
+    return 2;
+  }
   try {
-    if (command == "run") return cmd_run(options);
-    if (command == "fuzz") return cmd_fuzz(options);
-    if (command == "campaign") return cmd_campaign(options);
-    if (command == "svg") return cmd_svg(options);
-    if (command == "replay") return cmd_replay(options);
-    if (command == "serve") return cmd_serve(options);
-    if (command == "shard") return cmd_shard(options);
-    if (command == "merge") return cmd_merge(options);
-    if (command == "resume-holes") return cmd_resume_holes(options);
+    return command->run(options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown command: %s\n\n", command.c_str());
-  return print_usage();
 }
 
 }  // namespace swarmfuzz::cli

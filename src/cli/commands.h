@@ -21,7 +21,9 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "swarm/controller.h"
 #include "util/options.h"
@@ -45,7 +47,15 @@ int cmd_resume_holes(const util::Options& options);
 // Prints usage to stdout; returns the exit code to use.
 int print_usage();
 
-// Dispatches on the first positional argument.
+// Flags on `options`' command line that `command` does not read (SWARMFUZZ_*
+// environment fallbacks are not flags). Throws std::invalid_argument for an
+// unknown command.
+[[nodiscard]] std::vector<std::string> unknown_flags(std::string_view command,
+                                                     const util::Options& options);
+
+// Dispatches on the first positional argument. `<command> --help` prints the
+// usage and returns 0; a flag the command does not read is reported on
+// stderr and returns 2 before anything runs.
 int dispatch(int argc, const char* const* argv);
 
 }  // namespace swarmfuzz::cli

@@ -367,7 +367,11 @@ class EvolutionaryFuzzer final : public FuzzerBase {
   EvolutionaryFuzzer(FuzzerConfig config,
                      std::shared_ptr<const swarm::SwarmController> controller)
       : FuzzerBase(std::move(config), std::move(controller)),
-        rng_(config_.rng_seed) {}
+        rng_(config_.rng_seed) {
+    // The novelty signature reads min_avg_separation, and the swarm packs
+    // tightest at arrival: evaluations must fly the whole mission.
+    guards_.full_horizon = true;
+  }
 
   [[nodiscard]] std::string_view name() const noexcept override { return "E_Fuzz"; }
 

@@ -81,6 +81,10 @@ AttackEvalOutcome evaluate_attack(const sim::MissionSpec& mission,
     hooks.watchdog = guards->watchdog;
     hooks.inject_fault = guards->inject;
   }
+  if (guards == nullptr || !guards->full_horizon) {
+    hooks.stop_when_decided_after =
+        t_start + duration + 1.0 / simulator.config().gps.rate_hz;
+  }
   const sim::RunResult run = simulator.run(mission, system, hooks);
 
   AttackEvalOutcome out;

@@ -3,11 +3,16 @@
 // Given a seed <T-V, theta> and the spoofing deviation d, f(t_s, dt) is the
 // minimum distance between the victim drone and the obstacle over the
 // attacked mission, minus the drone's collision radius; a collision occurs
-// iff f <= 0. Each evaluation is one full mission simulation — unless the
-// prefix cache can supply a mid-mission checkpoint with time <= t_s, in
-// which case only the tail from that checkpoint is simulated (the attacked
-// run is bit-identical to the clean run until the spoofing window opens, so
-// the clean run's checkpoints are valid prefixes for every (t_s, dt)).
+// iff f <= 0. Each evaluation is one mission simulation, trimmed at both
+// ends. It starts from the prefix cache's latest checkpoint with time <= t_s
+// when there is one (the attacked run is bit-identical to the clean run
+// until the spoofing window opens, so the clean run's checkpoints are valid
+// prefixes for every (t_s, dt)). It stops once the outcome is decided: the
+// window is over and every drone is past every obstacle and moving on, so
+// no per-drone minimum can change (DESIGN.md §10, "Decided horizon").
+// end_time, min_avg_separation and target_caused then cover only the
+// simulated part; E_Fuzz, whose novelty signature reads the tail, asks for
+// the full run (EvalGuards::full_horizon).
 #pragma once
 
 #include <cstddef>
@@ -29,12 +34,18 @@ namespace swarmfuzz::fuzz {
 
 // Execution guards applied to every simulation an Objective runs: the
 // per-evaluation watchdog (sim-step budget + wall-clock deadline, both
-// raising RunFaultError{kTimeout}) and the deterministic fault-injection
-// hook used by the containment tests. Borrowed by the Objective so the
-// fuzzer can tighten the deadline between evaluations.
+// raising RunFaultError{kTimeout}), the deterministic fault-injection
+// hook used by the containment tests, and the evaluation horizon. Borrowed
+// by the Objective so the fuzzer can tighten the deadline between
+// evaluations.
 struct EvalGuards {
   sim::RunWatchdog watchdog{};
   sim::FaultInjection inject{};
+  // false (the default, also with no guards at all): each attacked run
+  // stops once its outcome is decided (see evaluate_attack). true: it flies
+  // to arrival, for searches that read the tail — E_Fuzz's novelty
+  // signature packs tightest at arrival.
+  bool full_horizon = false;
 };
 
 struct ObjectiveEval {
@@ -43,7 +54,7 @@ struct ObjectiveEval {
   int crashed_drone = -1;       // which drone hit the obstacle (on success)
   bool target_caused = false;   // collision involved the target (excluded by
                                 // the paper's success metric)
-  double end_time = 0.0;
+  double end_time = 0.0;        // where the simulated run ended
   // Behavioral probe of the attacked run, the raw material of E_Fuzz's
   // novelty signature (fuzz/corpus.h). Deterministic — derived from the
   // recorder of a deterministic simulation — and carried through the memo
@@ -159,7 +170,10 @@ struct AttackEvalOutcome {
 // Runs one attacked mission for the (already projected) spoofing window:
 // the stateless core of Objective::evaluate, also executed by EvalPool
 // lanes against their own simulator/system clones. Mutates only `system`
-// (each caller must own its clone); `prefix` is only read. Throws
+// (each caller must own its clone); `prefix` is only read. Unless
+// guards->full_horizon, the run stops once its outcome is decided
+// (sim::RunHooks::stop_when_decided_after, armed one GPS period after the
+// window closes, since a spoofed fix is held until the next one). Throws
 // sim::RunFaultError on guard trips or numerical divergence and
 // std::logic_error on a prefix cache with checkpoints but no source.
 [[nodiscard]] AttackEvalOutcome evaluate_attack(

@@ -63,6 +63,16 @@ class Recorder {
   // Time at which that minimum was attained.
   [[nodiscard]] double time_of_min_obstacle_distance(int drone) const;
 
+  // Closest squared XY approach of drone `drone` to the centre of obstacle
+  // `obstacle` so far (infinity before the first record()). Unchecked: the
+  // simulator's per-tick decided-outcome rule reads it for every pair.
+  [[nodiscard]] double min_center_distance_sq(int drone,
+                                              int obstacle) const noexcept {
+    return min_center_d2_[static_cast<size_t>(drone) *
+                              static_cast<size_t>(obstacles_.size()) +
+                          static_cast<size_t>(obstacle)];
+  }
+
   // Average pairwise inter-drone distance at kept sample `index`.
   [[nodiscard]] double avg_inter_distance(int index) const;
 

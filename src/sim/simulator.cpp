@@ -40,6 +40,23 @@ void validate_checkpoint(const SimulationCheckpoint& cp, int n,
                                .detail = what});
 }
 
+// The decided-outcome rule of RunHooks::stop_when_decided_after.
+bool outcome_decided(std::span<const DroneState> states,
+                     const ObstacleField& obstacles, const Recorder& recorder,
+                     const Vec3& axis) {
+  for (int i = 0; i < static_cast<int>(states.size()); ++i) {
+    const DroneState& s = states[static_cast<size_t>(i)];
+    if (s.velocity.horizontal().dot(axis) < 0.0) return false;
+    for (int k = 0; k < obstacles.size(); ++k) {
+      const double along = (s.position - obstacles.at(k).center).horizontal().dot(axis);
+      if (!(along > 0.0) || along * along < recorder.min_center_distance_sq(i, k)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Simulator::Simulator(SimulationConfig config)
@@ -182,6 +199,7 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
           : std::numeric_limits<double>::infinity();
   const RunWatchdog& watchdog = hooks.watchdog;
   const FaultInjection& inject = hooks.inject_fault;
+  const Vec3 axis = mission_axis(mission);  // for the decided-outcome rule
 
   double last_checkpoint = -std::numeric_limits<double>::infinity();
   while (t < mission.max_time) {
@@ -330,6 +348,11 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
         result.reached_destination = true;
         break;
       }
+    }
+
+    if (t >= hooks.stop_when_decided_after &&
+        outcome_decided(states, mission.obstacles, result.recorder, axis)) {
+      break;
     }
   }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -127,6 +128,18 @@ struct RunHooks {
   // Deterministic fault injection (test machinery): drives a NaN, throw or
   // hang fault at a chosen sim time so containment paths can be exercised.
   FaultInjection inject_fault{};
+
+  // Decided-outcome early exit (DESIGN.md, "Decided horizon"). From this sim
+  // time on, the run ends after the first tick at which, for every drone i
+  // and obstacle k, the along-axis offset a = (p_i - c_k)_xy . mission_axis
+  // is positive, a^2 is at least the recorder's closest squared approach of
+  // drone i to c_k so far, and drone i's horizontal velocity does not point
+  // back along the axis. Provided no drone later moves back along the axis,
+  // every per-drone obstacle minimum (and its time) is then final and no
+  // obstacle collision can follow. Checked at the end of the tick, after
+  // record, the collision check and the arrival check; the default (+inf)
+  // flies to arrival.
+  double stop_when_decided_after = std::numeric_limits<double>::infinity();
 };
 
 class Simulator {

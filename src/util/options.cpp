@@ -46,6 +46,13 @@ Options Options::parse(int argc, const char* const* argv) {
   return opts;
 }
 
+std::vector<std::string> Options::flags() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& entry : values_) names.push_back(entry.first);
+  return names;
+}
+
 std::optional<std::string> Options::from_env(std::string_view name) {
   if (const char* value = std::getenv(env_key(name).c_str())) {
     return std::string{value};

@@ -34,6 +34,10 @@ class Options {
   [[nodiscard]] double get_double(std::string_view name, double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view name, bool fallback) const;
 
+  // Names of the flags given on the command line (env fallbacks excluded),
+  // in sorted order.
+  [[nodiscard]] std::vector<std::string> flags() const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }

@@ -111,6 +111,7 @@ std::string render_xy_series(const std::string& title, const std::string& x_name
 }
 
 std::string format_double(double value, int precision) {
+  if (std::isnan(value)) return "n/a";
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, value);
   return buf;

@@ -45,7 +45,9 @@ class TextTable {
     const std::string& y_name,
     const std::vector<std::pair<double, double>>& points, int max_width = 40);
 
-// Formats a double with fixed precision (helper shared by benches).
+// Formats a double with fixed precision (helper shared by benches). NaN —
+// an undefined statistic, e.g. the average over zero successes — renders as
+// "n/a".
 [[nodiscard]] std::string format_double(double value, int precision = 2);
 
 // Formats a rate in [0,1] as a percentage string like "48.8%".

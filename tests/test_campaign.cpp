@@ -308,5 +308,20 @@ TEST(Campaign, ReportFormattersProduceTables) {
   EXPECT_NE(table3.find("Success rate"), std::string::npos);
 }
 
+TEST(Campaign, IterationsTablePrintsNotApplicableWithoutSpvs) {
+  // A cell with no SPV has no average over successful missions: Table II
+  // says n/a, while the statistic itself stays NaN (JSON null).
+  GridCell cell{.swarm_size = 5, .spoof_distance = 5.0};
+  MissionOutcome outcome;
+  outcome.mission_index = 0;
+  outcome.completed = true;
+  outcome.result.iterations = 60;
+  cell.result.outcomes.push_back(outcome);
+  ASSERT_TRUE(std::isnan(cell.result.avg_iterations_successful()));
+  const std::string table = format_iterations_table({cell});
+  EXPECT_NE(table.find("n/a"), std::string::npos) << table;
+  EXPECT_EQ(table.find("nan"), std::string::npos) << table;
+}
+
 }  // namespace
 }  // namespace swarmfuzz::fuzz

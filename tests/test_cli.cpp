@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fuzz/service.h"
 #include "fuzz/telemetry.h"
@@ -46,6 +49,113 @@ TEST(Cli, UnknownCommandPrintsUsage) {
 
 TEST(Cli, BadOptionValueReportsError) {
   EXPECT_EQ(run_dispatch({"run", "--controller=nonsense"}), 1);
+}
+
+TEST(Cli, UnknownFlagExitsTwoAndNamesIt) {
+  // A typo must not run the command with its defaults.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_dispatch({"campaign", "--misions=2"}), 2);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("--misions"),
+            std::string::npos);
+  EXPECT_EQ(run_dispatch({"campaign", "--bogus-flag=3", "--missions=1"}), 2);
+  for (const char* command : {"run", "fuzz", "campaign", "svg", "replay", "serve",
+                              "shard", "merge", "resume-holes"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_dispatch({command, "--no-such-flag"}), 2) << command;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--no-such-flag"), std::string::npos) << command;
+  }
+  // A flag of another command is just as unknown here.
+  EXPECT_EQ(run_dispatch({"merge", "--dir=x", "--progress=false"}), 2);
+  EXPECT_EQ(run_dispatch({"campaign", "--obstacles=2"}), 2);
+}
+
+TEST(Cli, HelpPrintsUsageAndExitsZero) {
+  for (const char* command : {"run", "fuzz", "campaign", "svg", "replay", "serve",
+                              "shard", "merge", "resume-holes"}) {
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(run_dispatch({command, "--help"}), 0) << command;
+    EXPECT_NE(::testing::internal::GetCapturedStdout().find("usage:"),
+              std::string::npos)
+        << command;
+  }
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(run_dispatch({"--help"}), 0);
+  (void)::testing::internal::GetCapturedStdout();
+}
+
+TEST(Cli, DocumentedFlagsAreKnown) {
+  // Every flag the CI workflow, README.md and EXPERIMENTS.md pass.
+  const std::vector<std::pair<const char*, std::vector<const char*>>> uses = {
+      {"run", {"--drones=100", "--spawn-range=180", "--sim-threads=2", "--seed=1013",
+               "--controller=olfati", "--vehicle=quadrotor", "--gps-rate=5",
+               "--nav-filter", "--obstacles=2", "--dt=0.05", "--gps-noise=0.5"}},
+      {"fuzz", {"--fuzzer=evolutionary", "--seed=1013", "--distance=10",
+                "--eval-threads=2", "--corpus-dir=d", "--novelty-bins=8",
+                "--evo-batch=4", "--max-corpus=9", "--mission-timeout=5",
+                "--eval-max-steps=9", "--no-prefix-reuse", "--checkpoint-period=2",
+                "--json", "--sim-threads=1", "--budget=6"}},
+      {"campaign", {"--missions=12", "--drones=5", "--budget=12", "--dt=0.05",
+                    "--gps-rate=20", "--distance=10", "--checkpoint=g.jsonl",
+                    "--resume", "--telemetry=t.jsonl", "--progress=false",
+                    "--summary=s.json", "--json", "--threads=2", "--eval-threads=1",
+                    "--sim-threads=1", "--fuzzer=e_fuzz", "--controller=olfati",
+                    "--vehicle=quadrotor", "--mission-timeout=2",
+                    "--eval-max-steps=9", "--max-fault-retries=0", "--fail-fast",
+                    "--quarantine=q", "--fault-inject=nan@1", "--seed=42",
+                    "--novelty-bins=8", "--evo-batch=4", "--max-corpus=9",
+                    "--clean-retries=1", "--no-prefix-reuse",
+                    "--checkpoint-period=2", "--nav-filter"}},
+      {"svg", {"--seed=1013", "--distance=10", "--drones=10"}},
+      {"replay", {"--seed=1013", "--target=1", "--start=3", "--duration=20",
+                  "--detect", "--direction=left", "--distance=10",
+                  "--detect-threshold=5"}},
+      {"serve", {"--dir=svc", "--leases=4", "--lease-ttl=5", "--missions=12",
+                 "--drones=5", "--budget=12", "--dt=0.05", "--gps-rate=20",
+                 "--distance=10", "--coordinate", "--coordinate-timeout=300",
+                 "--coordinate-poll=1", "--stale-heartbeat-periods=3",
+                 "--straggler-rate-fraction=0.5", "--min-observations=2",
+                 "--stall-factor=3", "--min-recarve-missions=2",
+                 "--recarve-pieces=2", "--wait", "--wait-timeout=1"}},
+      {"shard", {"--dir=svc", "--owner=w1", "--chaos=kill@1"}},
+      {"merge", {"--dir=svc", "--wait", "--wait-timeout=300", "--golden=g.jsonl",
+                 "--allow-partial", "--summary=r.json", "--json"}},
+      {"resume-holes", {"--dir=svc"}},
+  };
+  for (const auto& [command, flags] : uses) {
+    std::vector<const char*> argv{"swarmfuzz", command};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    const util::Options options =
+        util::Options::parse(static_cast<int>(argv.size()), argv.data());
+    EXPECT_TRUE(unknown_flags(command, options).empty())
+        << command << ": " << testing::PrintToString(unknown_flags(command, options));
+  }
+  EXPECT_THROW((void)unknown_flags("frobnicate", parse({})), std::invalid_argument);
+}
+
+TEST(Cli, EnvironmentFallbacksAreNotFlags) {
+  // SWARMFUZZ_<NAME> variables keep feeding options and are never checked
+  // against a command's flags.
+  ::setenv("SWARMFUZZ_MISSIONS", "3", 1);
+  ::setenv("SWARMFUZZ_NOT_A_FLAG", "1", 1);
+  const util::Options options = parse({"campaign"});
+  EXPECT_TRUE(unknown_flags("campaign", options).empty());
+  EXPECT_EQ(options.get_int("missions", 30), 3);
+  ::unsetenv("SWARMFUZZ_MISSIONS");
+  ::unsetenv("SWARMFUZZ_NOT_A_FLAG");
+}
+
+TEST(Cli, CampaignSummaryPrintsNotApplicableWithoutSpvs) {
+  // One robust mission at a tiny budget finds no SPV: the average over
+  // successful missions is undefined and prints as n/a, not nan.
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(cmd_campaign(parse({"campaign", "--missions=1", "--budget=4",
+                                "--progress=false"})),
+            0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(out.find("success rate      0.0%"), std::string::npos) << out;
+  EXPECT_NE(out.find("/ n/a (successful)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("nan"), std::string::npos) << out;
 }
 
 TEST(Cli, RunCommandCompletesCleanMission) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 namespace swarmfuzz::util {
 namespace {
@@ -59,6 +61,14 @@ TEST(Options, EnvironmentFallback) {
   // CLI overrides env.
   EXPECT_EQ(parse({"--test-option=1"}).get_int("test-option", 0), 1);
   ::unsetenv("SWARMFUZZ_TEST_OPTION");
+}
+
+TEST(Options, FlagsListsCommandLineNamesOnly) {
+  ::setenv("SWARMFUZZ_FROM_ENV", "1", 1);
+  const Options opts = parse({"run", "--seed=3", "--detect", "--budget", "6"});
+  EXPECT_EQ(opts.flags(), (std::vector<std::string>{"budget", "detect", "seed"}));
+  ::unsetenv("SWARMFUZZ_FROM_ENV");
+  EXPECT_TRUE(parse({"run"}).flags().empty());
 }
 
 TEST(Options, BareDoubleDashThrows) {

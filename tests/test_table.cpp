@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace swarmfuzz::util {
 namespace {
 
@@ -71,6 +73,12 @@ TEST(Formatting, Percent) {
 TEST(Formatting, Double) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(2.0, 0), "2");
+}
+
+TEST(Formatting, DoubleRendersNanAsNotApplicable) {
+  EXPECT_EQ(format_double(std::numeric_limits<double>::quiet_NaN()), "n/a");
+  EXPECT_EQ(format_double(-std::numeric_limits<double>::quiet_NaN(), 0), "n/a");
+  EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "inf");
 }
 
 }  // namespace
