@@ -23,6 +23,7 @@
 #include "math/rng.h"
 #include "sim/simulator.h"
 #include "swarm/comm.h"
+#include "swarm/flocking_system.h"
 #include "swarm/spatial_grid.h"
 #include "swarm/tick_context.h"
 #include "swarm/vasarhelyi.h"
@@ -102,6 +103,48 @@ BENCHMARK(BM_ControllerEvaluation)
     ->Args({500, 1})
     ->Args({1000, 0})
     ->Args({1000, 1});
+
+// Keeps the broadcast of the last control tick at or before `time`.
+class SnapshotAt final : public sim::StepObserver {
+ public:
+  explicit SnapshotAt(double time) : time_(time) {}
+  void on_step(double time, const sim::WorldSnapshot& snapshot,
+               std::span<const sim::DroneState>) override {
+    if (snapshot_.empty() || time <= time_) snapshot_ = snapshot;
+  }
+  [[nodiscard]] const sim::WorldSnapshot& snapshot() const { return snapshot_; }
+
+ private:
+  double time_;
+  sim::WorldSnapshot snapshot_;
+};
+
+// The dense 10-drone kernel on a broadcast from a real run, taken as the
+// swarm passes the obstacle: unlike BM_ControllerEvaluation's synthetic
+// snapshot (every velocity {2.5, 0, 0}, so friction never fires), it has
+// the branch mix a campaign sees: friction on some pairs and not others,
+// the shill term live, attraction selection over spread-out distances.
+// Ungated (compare_bench.py's guarded prefixes do not match it).
+void BM_ControllerMidFlight(benchmark::State& state) {
+  const int drones = static_cast<int>(state.range(0));
+  const GridPolicyScope policy(false);
+  const sim::MissionSpec mission = mission_of(drones);
+  auto system = swarm::make_vasarhelyi_system();
+  const sim::Simulator simulator;
+  const sim::RunResult clean = simulator.run(mission, *system);
+  SnapshotAt capture(clean.recorder.time_of_min_obstacle_distance(0));
+  (void)simulator.run(mission, *system, nullptr, &capture);
+  const sim::WorldSnapshot& snap = capture.snapshot();
+  const swarm::VasarhelyiController controller;
+  std::vector<sim::Vec3> desired(static_cast<size_t>(drones));
+  for (auto _ : state) {
+    controller.desired_velocity_all(snap, mission, desired);
+    benchmark::DoNotOptimize(desired.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * drones);
+}
+BENCHMARK(BM_ControllerMidFlight)->Arg(10);
 
 // Whole-swarm controller evaluation through the explicit TickExecutor: the
 // same batch kernel as BM_ControllerEvaluation (grid on), chunked over a

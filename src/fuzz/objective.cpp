@@ -81,7 +81,8 @@ AttackEvalOutcome evaluate_attack(const sim::MissionSpec& mission,
     hooks.watchdog = guards->watchdog;
     hooks.inject_fault = guards->inject;
   }
-  if (guards == nullptr || !guards->full_horizon) {
+  const bool full_horizon = guards != nullptr && guards->full_horizon;
+  if (!full_horizon) {
     hooks.stop_when_decided_after =
         t_start + duration + 1.0 / simulator.config().gps.rate_hz;
   }
@@ -95,8 +96,10 @@ AttackEvalOutcome evaluate_attack(const sim::MissionSpec& mission,
       run.recorder.min_obstacle_distance(seed.victim) - mission.drone_radius;
   // Behavioral features for the novelty signature: where every drone ended
   // up relative to the obstacle field, when the globally tightest approach
-  // happened, and how tightly the swarm packed. Cheap — the recorder already
-  // tracked the minima; only the packing term scans one sample (O(n^2)).
+  // happened, and how tightly the swarm packed. The recorder already
+  // tracked the clearance minima; the packing term scans every sample
+  // (O(samples * n^2)), so it runs only on full-horizon runs — E_Fuzz's,
+  // its only reader. Decided-horizon runs leave it at 0.0.
   const int n = mission.num_drones();
   out.eval.drone_clearance.resize(static_cast<std::size_t>(n));
   double tightest = std::numeric_limits<double>::infinity();
@@ -109,7 +112,7 @@ AttackEvalOutcome evaluate_attack(const sim::MissionSpec& mission,
       out.eval.min_clearance_time = run.recorder.time_of_min_obstacle_distance(i);
     }
   }
-  if (run.recorder.num_samples() > 0 && n > 1) {
+  if (full_horizon && run.recorder.num_samples() > 0 && n > 1) {
     const double t_clo = run.recorder.closest_time();
     out.eval.min_avg_separation =
         run.recorder.avg_inter_distance(run.recorder.sample_index_at(t_clo));

@@ -10,9 +10,10 @@
 // prefixes for every (t_s, dt)). It stops once the outcome is decided: the
 // window is over and every drone is past every obstacle and moving on, so
 // no per-drone minimum can change (DESIGN.md §10, "Decided horizon").
-// end_time, min_avg_separation and target_caused then cover only the
-// simulated part; E_Fuzz, whose novelty signature reads the tail, asks for
-// the full run (EvalGuards::full_horizon).
+// end_time and target_caused then cover only the simulated part, and
+// min_avg_separation is not computed (0.0); E_Fuzz, whose novelty
+// signature reads the tail, asks for the full run
+// (EvalGuards::full_horizon).
 #pragma once
 
 #include <cstddef>
@@ -62,7 +63,10 @@ struct ObjectiveEval {
   // the identical features.
   std::vector<double> drone_clearance;  // per-drone min obstacle distance, m
   double min_clearance_time = 0.0;      // when the tightest approach happened
-  double min_avg_separation = 0.0;      // tightest average swarm packing, m
+  // Tightest average swarm packing, m. An O(samples * n^2) scan, so only
+  // full-horizon runs (EvalGuards::full_horizon, E_Fuzz) compute it;
+  // decided-horizon runs leave it at 0.0.
+  double min_avg_separation = 0.0;
 };
 
 // One candidate of an evaluation batch (raw, pre-projection coordinates —

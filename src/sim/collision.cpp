@@ -24,15 +24,30 @@ std::optional<CollisionEvent> CollisionMonitor::check(
 
   // First obstacle hit by drone i this step, or -1; k ascending so the
   // reported (drone, obstacle) pair matches the serial double loop.
+  //
+  // Swept pre-reject: the segment's distance to the axis is at least
+  // |pos - c| - |step| (triangle inequality), so an accepted drone has
+  // |pos - c|^2 <= (reach + |step|)^2 <= 2 (reach^2 + |step|^2). Rejecting
+  // only above twice that bound leaves a margin far beyond any rounding:
+  // every drone the exact test could accept, and every NaN (the compare
+  // fails), falls through to it unchanged.
   const auto first_obstacle = [&](int i) {
     const Vec3& pos = states[static_cast<size_t>(i)].position;
     for (int k = 0; k < obstacles.size(); ++k) {
       const CylinderObstacle& o = obstacles.at(k);
-      const double dist =
-          swept ? math::segment_point_distance_xy(prev_positions[static_cast<size_t>(i)],
-                                                  pos, o.center)
-                : math::distance_xy(pos, o.center);
-      if (dist <= o.radius + drone_radius_) return k;
+      const double reach = o.radius + drone_radius_;
+      double dist;
+      if (swept) {
+        const Vec3& prev = prev_positions[static_cast<size_t>(i)];
+        const double step_sq = (pos - prev).norm_xy_sq();
+        if ((pos - o.center).norm_xy_sq() > 4.0 * (reach * reach + step_sq)) {
+          continue;
+        }
+        dist = math::segment_point_distance_xy(prev, pos, o.center);
+      } else {
+        dist = math::distance_xy(pos, o.center);
+      }
+      if (dist <= reach) return k;
     }
     return -1;
   };

@@ -44,8 +44,6 @@ struct FirstEventSlots {
 // every kernel; each kernel documents which fields it uses.
 struct PairScanScratch {
   std::vector<std::pair<double, math::Vec3>> neighbours;  // (dist, self-other)
-  std::vector<int> top;           // select_nearest output
-  std::vector<int> sel;           // per-drone candidate subset (broadcast idx)
   std::vector<int> cand;          // grid gather output
   std::vector<int> cand_near;     // gather_nearest output
   std::vector<int> members;       // comm-filter member slots

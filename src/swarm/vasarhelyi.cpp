@@ -8,22 +8,21 @@
 #include <utility>
 #include <vector>
 
-#include "math/geometry.h"
 #include "swarm/spatial_grid.h"
 
 namespace swarmfuzz::swarm {
 
 double braking_curve(double r, double a, double p) {
-  if (r <= 0.0) return 0.0;
-  if (r * p <= a / p) return r * p;
-  return std::sqrt(2.0 * a * r - a * a / (p * p));
+  return BrakingCurve(a, p)(r);
 }
 
 VasarhelyiController::VasarhelyiController(const VasarhelyiParams& params)
-    : params_(params) {
+    : params_(params),
+      frict_curve_(params.a_frict, params.p_frict),
+      shill_curve_(params.a_shill, params.p_shill) {
   if (params.v_flock <= 0.0 || params.v_max <= 0.0 || params.r0_rep <= 0.0 ||
       params.a_frict <= 0.0 || params.p_frict <= 0.0 || params.a_shill <= 0.0 ||
-      params.p_shill <= 0.0) {
+      params.p_shill <= 0.0 || params.k_att > kMaxAttractionNeighbours) {
     throw std::invalid_argument("VasarhelyiController: invalid parameter");
   }
 }
@@ -50,15 +49,14 @@ inline bool repulsion_term(const VasarhelyiParams& prm, const math::Vec3& diff,
 // relative, so the original `vel_diff_norm > slack` test could not have
 // passed); when the guard is inconclusive the original expressions run
 // unchanged, so accepted pairs produce the exact same bits.
-inline bool friction_term(const VasarhelyiParams& prm, const math::Vec3& vel_diff,
-                          double dist, math::Vec3& out) {
+inline bool friction_term(const VasarhelyiParams& prm, const BrakingCurve& frict,
+                          const math::Vec3& vel_diff, double dist,
+                          math::Vec3& out) {
   const double norm_sq = vel_diff.norm_sq();
   // slack >= v_frict always, so a well-aligned pair skips the braking-curve
   // sqrt too, not just the norm's.
   if (norm_sq <= 0.81 * prm.v_frict * prm.v_frict) return false;
-  const double slack =
-      std::max(prm.v_frict,
-               braking_curve(dist - prm.r0_frict, prm.a_frict, prm.p_frict));
+  const double slack = std::max(prm.v_frict, frict(dist - prm.r0_frict));
   if (norm_sq <= 0.81 * slack * slack) return false;
   const double vel_diff_norm = std::sqrt(norm_sq);
   if (!(vel_diff_norm > slack)) return false;
@@ -88,82 +86,62 @@ inline double friction_cutoff_distance(const VasarhelyiParams& prm,
 // members that have drifted beyond r0_att. Topological interaction is
 // standard in flocking (it keeps the formation from fragmenting) and,
 // unlike metric all-pairs attraction, produces no centripetal squeeze in
-// dense swarms: there the nearest members are well inside r0_att.
-//
-// Only the k nearest are needed, ascending: an O(count*k) insertion
-// selection beats heap-based partial_sort at flocking sizes and, being
-// shared by the per-view and batch paths (comparisons depend only on the
-// distance values, first-seen wins ties), keeps their selections
-// identical. `dist_at(j)` returns candidate j's distance; `top` receives
-// the selected candidate indices in ascending distance order.
-//
-// Because comparisons are strict and ties go to the first-seen candidate,
-// the selected set is the k smallest by (distance, arrival order)
-// lexicographic rank. Hence feeding any *subset* of the candidates that
-// still contains every candidate at distance <= the k-th smallest, in the
-// same arrival order, selects the exact same members in the same order —
-// which is what lets the spatial grid cull the candidate list.
-template <typename DistAt>
-inline void select_nearest(int count, int k, DistAt dist_at, std::vector<int>& top) {
-  top.clear();
-  if (k <= 0) return;
-  for (int j = 0; j < count; ++j) {
-    const double d = dist_at(j);
-    if (static_cast<int>(top.size()) < k) {
-      top.push_back(j);
-    } else if (d < dist_at(top.back())) {
-      top.back() = j;
-    } else {
-      continue;
-    }
-    for (size_t q = top.size() - 1;
-         q > 0 && d < dist_at(top[q - 1]); --q) {
-      std::swap(top[q], top[q - 1]);
-    }
-  }
-}
-
+// dense swarms: there the nearest members are well inside r0_att. The
+// selection is NearestK's (see vasarhelyi.h), shared by every path;
+// `diff_of(index)` returns the selected candidate's (self - other) diff.
+template <typename DiffOf>
 inline math::Vec3 attraction_sum(const VasarhelyiParams& prm,
-                                 const std::vector<std::pair<double, math::Vec3>>& nbrs,
-                                 std::vector<int>& top) {
-  const int k_att = std::min<int>(prm.k_att, static_cast<int>(nbrs.size()));
-  select_nearest(
-      static_cast<int>(nbrs.size()), k_att,
-      [&](int j) { return nbrs[static_cast<size_t>(j)].first; }, top);
+                                 const NearestK& nearest, DiffOf diff_of) {
   math::Vec3 attraction;
-  for (const int idx : top) {
-    const auto& [dist, diff] = nbrs[static_cast<size_t>(idx)];
-    if (dist > prm.r0_att) {
-      attraction += diff * (-prm.p_att * (dist - prm.r0_att) / dist);
+  for (const NearestK::Entry& e : nearest.selected()) {
+    if (e.dist > prm.r0_att) {
+      attraction += diff_of(e.index) * (-prm.p_att * (e.dist - prm.r0_att) / e.dist);
     }
   }
   // Capped in total: one distant buddy pulls as hard as several.
   return attraction.clamped(prm.v_att_max);
 }
 
+// Attraction over a (dist, self - other) neighbour list.
+inline math::Vec3 attraction_sum(const VasarhelyiParams& prm,
+                                 const std::vector<std::pair<double, math::Vec3>>& nbrs) {
+  NearestK nearest(prm.k_att);
+  for (size_t j = 0; j < nbrs.size(); ++j) {
+    nearest.offer(nbrs[j].first, static_cast<int>(j));
+  }
+  return attraction_sum(prm, nearest, [&](int j) {
+    return nbrs[static_cast<size_t>(j)].second;
+  });
+}
+
 // Goal (2), obstacle part: align with a shill agent sitting just outside
 // the nearest obstacle surface, moving outward at v_shill. The braking
 // curve makes the term negligible far away and dominant near the surface.
-inline math::Vec3 shill_sum(const VasarhelyiParams& prm,
+//
+// The horizontal radial vector is computed once per obstacle and yields
+// both math::distance_to_cylinder's value (its norm() adds +0.0 * 0.0 to
+// the non-negative x^2 + y^2, so it equals norm_xy() bit for bit) and
+// math::cylinder_outward_normal's (same degenerate-radial rule, same
+// division), so the geometry calls are inlined without changing a bit.
+inline math::Vec3 shill_sum(const VasarhelyiParams& prm, const BrakingCurve& curve,
                             const math::Vec3& self_pos, const math::Vec3& self_vel,
                             const sim::MissionSpec& mission) {
   math::Vec3 shill;
+  // Far from the surface the slack is huge; skip the normal/velocity
+  // sqrts when even the triangle-inequality bound on |vel_diff|
+  // ((a+b)^2 <= 2a^2 + 2b^2, |shill_velocity| <= v_shill) sits safely
+  // below it. The 0.81 margin dwarfs rounding, so whenever the original
+  // `vel_diff_norm > slack` could pass we fall through unchanged.
+  const double vel_diff_bound = 2.0 * (prm.v_shill * prm.v_shill + self_vel.norm_sq());
   for (const sim::CylinderObstacle& obstacle : mission.obstacles.obstacles()) {
-    const double dist = math::distance_to_cylinder(self_pos, obstacle.center,
-                                                   obstacle.radius);
-    const double slack =
-        braking_curve(dist - prm.r0_shill, prm.a_shill, prm.p_shill);
-    // Far from the surface the slack is huge; skip the normal/velocity
-    // sqrts when even the triangle-inequality bound on |vel_diff|
-    // ((a+b)^2 <= 2a^2 + 2b^2, |shill_velocity| <= v_shill) sits safely
-    // below it. The 0.81 margin dwarfs rounding, so whenever the original
-    // `vel_diff_norm > slack` could pass we fall through unchanged.
-    if (2.0 * (prm.v_shill * prm.v_shill + self_vel.norm_sq()) <=
-        0.81 * slack * slack) {
-      continue;
-    }
-    const math::Vec3 outward =
-        math::cylinder_outward_normal(self_pos, obstacle.center);
+    const math::Vec3 radial = (self_pos - obstacle.center).horizontal();
+    const double radial_sq = radial.norm_sq();
+    const double radial_norm = std::sqrt(radial_sq);
+    const double slack = curve(radial_norm - obstacle.radius - prm.r0_shill);
+    if (vel_diff_bound <= 0.81 * slack * slack) continue;
+    const math::Vec3 outward = radial_sq < 1e-18    ? math::Vec3{1.0, 0.0, 0.0}
+                               : radial_norm > 1e-12 ? radial / radial_norm
+                                                     : math::Vec3{};
     const math::Vec3 shill_velocity = outward * prm.v_shill;
     const math::Vec3 vel_diff = shill_velocity - self_vel;
     const double vel_diff_norm = vel_diff.norm();
@@ -193,11 +171,11 @@ inline void average_friction(Terms& terms, int contributors) {
 
 // Scratch comes from the shared per-tick context (swarm/tick_context.h):
 // PairScanScratch fields used here are `neighbours` (dist, self-other),
-// `top` (select_nearest output), `cand`/`cand_near` (grid gathers), and on
-// the dense batch path `dist` (row-major n*n pairwise cache), `vec_a`
-// (repulsion accumulators), `vec_b` (friction accumulators),
-// `contributors`, and `sel`. Serial callers borrow thread_tick_context();
-// the batch path takes lanes from the executor's context.
+// `cand`/`cand_near` (grid gathers), and on the dense batch path `dist`
+// (row-major n*n pairwise cache), `vec_a` (repulsion accumulators), `vec_b`
+// (friction accumulators) and `contributors`. Serial callers borrow
+// thread_tick_context(); the batch path takes lanes from the executor's
+// context.
 
 // Largest velocity norm in the broadcast; bounds every pair's velocity gap
 // by 2 * result (triangle inequality). NaN-propagating: a non-finite
@@ -268,14 +246,15 @@ VasarhelyiController::Terms VasarhelyiController::compute_terms(
 
     Vec3 term;
     if (repulsion_term(params_, diff, dist, term)) terms.repulsion += term;
-    if (friction_term(params_, view.velocity(k) - self_vel, dist, term)) {
+    if (friction_term(params_, frict_curve_, view.velocity(k) - self_vel, dist,
+                      term)) {
       terms.friction += term;
       ++friction_contributors;
     }
   }
   average_friction(terms, friction_contributors);
-  terms.attraction = attraction_sum(params_, neighbours, s.top);
-  terms.shill = shill_sum(params_, self_pos, self_vel, mission);
+  terms.attraction = attraction_sum(params_, neighbours);
+  terms.shill = shill_sum(params_, shill_curve_, self_pos, self_vel, mission);
   terms.altitude = Vec3{0.0, 0.0,
                         params_.altitude_gain *
                             (mission.cruise_altitude - self_pos.z)};
@@ -314,9 +293,9 @@ void VasarhelyiController::desired_velocity_all(const WorldSnapshot& snapshot,
   //    covers that too whenever at least k_att candidates sit at exact
   //    distance <= r_pair: the k-th smallest qualifying distance dk is then
   //    <= r_pair, every drone at distance <= dk is among the candidates,
-  //    and select_nearest over a subset that (a) contains everything at
+  //    and NearestK over a subset that (a) contains everything at
   //    distance <= dk and (b) preserves arrival order picks exactly the
-  //    members the full scan picks (see the select_nearest comment). Drones
+  //    members the full scan picks (see NearestK in vasarhelyi.h). Drones
   //    with sparse surroundings re-gather at doubled radii until the same
   //    certificate holds.
   // Every candidate still runs the exact per-view arithmetic in ascending
@@ -360,8 +339,9 @@ void VasarhelyiController::desired_velocity_all(const WorldSnapshot& snapshot,
               if (repulsion_term(params_, diff, dist, term)) {
                 terms.repulsion += term;
               }
-              if (friction_term(params_, vel[static_cast<size_t>(j)] - self_vel,
-                                dist, term)) {
+              if (friction_term(params_, frict_curve_,
+                                vel[static_cast<size_t>(j)] - self_vel, dist,
+                                term)) {
                 terms.friction += term;
                 ++friction_contributors;
               }
@@ -394,9 +374,10 @@ void VasarhelyiController::desired_velocity_all(const WorldSnapshot& snapshot,
                 if (dist <= r_att) ++within_r_pair;
               }
             }
-            terms.attraction = attraction_sum(params_, s.neighbours, s.top);
+            terms.attraction = attraction_sum(params_, s.neighbours);
 
-            terms.shill = shill_sum(params_, self_pos, self_vel, mission);
+            terms.shill =
+                shill_sum(params_, shill_curve_, self_pos, self_vel, mission);
             terms.altitude = Vec3{0.0, 0.0,
                                   params_.altitude_gain *
                                       (mission.cruise_altitude - self_pos.z)};
@@ -418,84 +399,82 @@ void VasarhelyiController::desired_velocity_all(const WorldSnapshot& snapshot,
   // (outer i ascending, inner j ascending) accumulates into each drone's
   // sums in exactly the neighbour order the per-view loop uses. Stays
   // serial: the half-pair scatter writes rows i and j from one iteration.
+  // A structure-of-arrays SIMD pair pass measured no faster at N = 10: more
+  // than half the pairs get past the friction gate's first guard, so the
+  // scalar scatter dominates (DESIGN.md §9).
+  // Local copies: the parameters cannot alias the scratch rows the loops
+  // store to, so they stay in registers instead of being reloaded after
+  // every store.
+  const VasarhelyiParams prm = params_;
+  const BrakingCurve frict = frict_curve_;
+  const BrakingCurve shill = shill_curve_;
   PairScanScratch& s = ctx.lane(0);
-  s.dist.resize(static_cast<size_t>(n) * static_cast<size_t>(n));
-  // vec_a accumulates repulsion, vec_b friction; the remaining Terms fields
-  // are assembled per drone in the second loop with identical accumulation
-  // order, so the bits match the old per-drone Terms array.
-  s.vec_a.assign(static_cast<size_t>(n), Vec3{});
-  s.vec_b.assign(static_cast<size_t>(n), Vec3{});
-  s.contributors.assign(static_cast<size_t>(n), 0);
+  const size_t un = static_cast<size_t>(n);
+  s.dist.resize(un * un);
+  // vec_a accumulates repulsion, vec_b friction; the remaining terms are
+  // added per drone below in Terms::total()'s order.
+  s.vec_a.assign(un, Vec3{});
+  s.vec_b.assign(un, Vec3{});
+  s.contributors.assign(un, 0);
+  const Vec3* const p = pos.data();
+  const Vec3* const v = vel.data();
+  double* const dist_rows = s.dist.data();
+  Vec3* const repulsion = s.vec_a.data();
+  Vec3* const friction = s.vec_b.data();
+  int* const contributors = s.contributors.data();
 
-  for (int i = 0; i < n; ++i) {
-    const Vec3& pi = pos[static_cast<size_t>(i)];
-    const Vec3& vi = vel[static_cast<size_t>(i)];
-    for (int j = i + 1; j < n; ++j) {
-      const Vec3 diff = (pi - pos[static_cast<size_t>(j)]).horizontal();
+  for (size_t i = 0; i < un; ++i) {
+    const Vec3 pi = p[i];
+    const Vec3 vi = v[i];
+    double* const row_i = dist_rows + i * un;
+    for (size_t j = i + 1; j < un; ++j) {
+      const Vec3 diff = (pi - p[j]).horizontal();
       const double dist = diff.norm();
-      s.dist[static_cast<size_t>(i) * static_cast<size_t>(n) +
-             static_cast<size_t>(j)] = dist;
-      s.dist[static_cast<size_t>(j) * static_cast<size_t>(n) +
-             static_cast<size_t>(i)] = dist;
+      row_i[j] = dist;
+      dist_rows[j * un + i] = dist;
       if (dist < 1e-9) continue;  // coincident fixes: no defined direction
 
       Vec3 term;
-      if (repulsion_term(params_, diff, dist, term)) {
-        s.vec_a[static_cast<size_t>(i)] += term;
-        s.vec_a[static_cast<size_t>(j)] -= term;
+      if (repulsion_term(prm, diff, dist, term)) {
+        repulsion[i] += term;
+        repulsion[j] -= term;
       }
-      if (friction_term(params_, vel[static_cast<size_t>(j)] - vi, dist, term)) {
-        s.vec_b[static_cast<size_t>(i)] += term;
-        s.vec_b[static_cast<size_t>(j)] -= term;
-        ++s.contributors[static_cast<size_t>(i)];
-        ++s.contributors[static_cast<size_t>(j)];
+      if (friction_term(prm, frict, v[j] - vi, dist, term)) {
+        friction[i] += term;
+        friction[j] -= term;
+        ++contributors[i];
+        ++contributors[j];
       }
     }
   }
 
-  for (int i = 0; i < n; ++i) {
-    const Vec3& self_pos = pos[static_cast<size_t>(i)];
+  for (size_t i = 0; i < un; ++i) {
+    const Vec3& self_pos = p[i];
     Terms terms;
-    terms.repulsion = s.vec_a[static_cast<size_t>(i)];
-    terms.friction = s.vec_b[static_cast<size_t>(i)];
-    terms.migration = migration_term(params_, self_pos, mission);
-    average_friction(terms, s.contributors[static_cast<size_t>(i)]);
+    terms.repulsion = repulsion[i];
+    terms.friction = friction[i];
+    terms.migration = migration_term(prm, self_pos, mission);
+    average_friction(terms, contributors[i]);
 
     // Attraction from the cached distance row; the (self - other) diff is
     // recomputed for just the selected few. fl(b - a) = -fl(a - b)
     // componentwise, so recomputing in self's orientation matches the
     // per-view bits regardless of which triangle the pair loop walked.
-    const size_t row = static_cast<size_t>(i) * static_cast<size_t>(n);
-    s.sel.clear();
-    for (int j = 0; j < n; ++j) {
-      if (j == i) continue;
-      if (s.dist[row + static_cast<size_t>(j)] < 1e-9) continue;
-      s.sel.push_back(j);
+    const double* const row = dist_rows + i * un;
+    NearestK nearest(prm.k_att);
+    for (size_t j = 0; j < un; ++j) {
+      if (j == i || row[j] < 1e-9) continue;
+      nearest.offer(row[j], static_cast<int>(j));
     }
-    const int k_att = std::min<int>(params_.k_att, static_cast<int>(s.sel.size()));
-    select_nearest(
-        static_cast<int>(s.sel.size()), k_att,
-        [&](int q) {
-          return s.dist[row + static_cast<size_t>(s.sel[static_cast<size_t>(q)])];
-        },
-        s.top);
-    Vec3 attraction;
-    for (const int q : s.top) {
-      const int j = s.sel[static_cast<size_t>(q)];
-      const double dist = s.dist[row + static_cast<size_t>(j)];
-      if (dist > params_.r0_att) {
-        const Vec3 diff =
-            (self_pos - pos[static_cast<size_t>(j)]).horizontal();
-        attraction += diff * (-params_.p_att * (dist - params_.r0_att) / dist);
-      }
-    }
-    terms.attraction = attraction.clamped(params_.v_att_max);
+    terms.attraction = attraction_sum(prm, nearest, [&](int j) {
+      return (self_pos - p[static_cast<size_t>(j)]).horizontal();
+    });
 
-    terms.shill = shill_sum(params_, self_pos, vel[static_cast<size_t>(i)], mission);
+    terms.shill = shill_sum(prm, shill, self_pos, v[i], mission);
     terms.altitude = Vec3{0.0, 0.0,
-                          params_.altitude_gain *
+                          prm.altitude_gain *
                               (mission.cruise_altitude - self_pos.z)};
-    desired[static_cast<size_t>(i)] = terms.total().clamped(params_.v_max);
+    desired[i] = terms.total().clamped(prm.v_max);
   }
 }
 
@@ -553,11 +532,11 @@ double VasarhelyiController::probe_influence_radius(
         for (int j = 0; j < n; ++j) consider(j);
       }
       if (static_cast<int>(s.neighbours.size()) < params_.k_att) return kInf;
-      select_nearest(
-          static_cast<int>(s.neighbours.size()), params_.k_att,
-          [&](int q) { return s.neighbours[static_cast<size_t>(q)].first; },
-          s.top);
-      const double dk = s.neighbours[static_cast<size_t>(s.top.back())].first;
+      NearestK nearest(params_.k_att);
+      for (size_t q = 0; q < s.neighbours.size(); ++q) {
+        nearest.offer(s.neighbours[q].first, static_cast<int>(q));
+      }
+      const double dk = nearest.selected().back().dist;
       if (!std::isfinite(dk)) return kInf;
       dk_max = std::max(dk_max, dk);
     }

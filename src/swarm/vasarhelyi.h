@@ -18,6 +18,11 @@
 // Altitude is held at the mission's cruise height with a proportional term.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <span>
+
 #include "swarm/controller.h"
 
 namespace swarmfuzz::swarm {
@@ -39,6 +44,7 @@ struct VasarhelyiParams {
   double p_att = 0.5;     // attraction gain, 1/s
   double v_att_max = 3.0;  // cap on the total attraction sub-velocity, m/s
   int k_att = 3;           // attract only toward the k nearest members
+                           // (at most kMaxAttractionNeighbours)
 
   // Velocity alignment / friction (goal 3).
   double r0_frict = 22.0;  // alignment slack onset, m
@@ -58,6 +64,73 @@ struct VasarhelyiParams {
 
 // The braking curve D(r, a, p); exposed for tests (monotone, continuous).
 [[nodiscard]] double braking_curve(double r, double a, double p);
+
+// D(., a, p) with its parameter-only subexpressions (a/p, a^2/p^2, 2a)
+// computed once. Same operands, same operations: returns exactly the bits
+// braking_curve(r, a, p) returns.
+class BrakingCurve {
+ public:
+  BrakingCurve(double a, double p)
+      : p_(p), a_over_p_(a / p), a_sq_over_p_sq_(a * a / (p * p)), two_a_(2.0 * a) {}
+
+  [[nodiscard]] double operator()(double r) const {
+    if (r <= 0.0) return 0.0;
+    if (r * p_ <= a_over_p_) return r * p_;
+    return std::sqrt(two_a_ * r - a_sq_over_p_sq_);
+  }
+
+ private:
+  double p_;
+  double a_over_p_;
+  double a_sq_over_p_sq_;
+  double two_a_;
+};
+
+// Largest VasarhelyiParams::k_att the controller accepts: the attraction
+// selection keeps its k nearest in a fixed stack array of this size.
+inline constexpr int kMaxAttractionNeighbours = 16;
+
+// Running selection of the k nearest candidates, ascending by distance, in
+// a fixed-capacity stack array (k <= kMaxAttractionNeighbours; k <= 0 keeps
+// none). Candidates are offered in arrival order; comparisons are strict
+// and a later candidate never passes an earlier one at equal distance, so
+// the selection is the k smallest by (distance, arrival order). NaN
+// distances go through the same `<` tests (always false), as in a plain
+// insertion top-k. Shared by every controller path, so their selections
+// agree. Feeding any subset of the candidates that still holds
+// everything at distance <= the k-th smallest, in the same order, selects
+// the same members in the same order — which lets the spatial grid cull.
+class NearestK {
+ public:
+  struct Entry {
+    double dist;
+    int index;
+  };
+
+  // k is clamped into [0, kMaxAttractionNeighbours]; the controller
+  // rejects larger k_att up front, so the clamp never changes a selection.
+  explicit NearestK(int k) : k_(std::clamp(k, 0, kMaxAttractionNeighbours)) {}
+
+  void offer(double dist, int index) {
+    if (size_ < k_) {
+      ++size_;
+    } else if (size_ == 0 || !(dist < top_[size_ - 1].dist)) {
+      return;
+    }
+    int q = size_ - 1;
+    for (; q > 0 && dist < top_[q - 1].dist; --q) top_[q] = top_[q - 1];
+    top_[q] = {dist, index};
+  }
+
+  [[nodiscard]] std::span<const Entry> selected() const noexcept {
+    return {top_, static_cast<std::size_t>(size_)};
+  }
+
+ private:
+  int k_;
+  int size_ = 0;
+  Entry top_[kMaxAttractionNeighbours];
+};
 
 class VasarhelyiController final : public SwarmController {
  public:
@@ -111,6 +184,8 @@ class VasarhelyiController final : public SwarmController {
 
  private:
   VasarhelyiParams params_;
+  BrakingCurve frict_curve_;  // D(., a_frict, p_frict)
+  BrakingCurve shill_curve_;  // D(., a_shill, p_shill)
 };
 
 }  // namespace swarmfuzz::swarm

@@ -424,6 +424,39 @@ TEST(EvolutionaryDecidedHorizon, FullHorizonEvaluationEndsWithTheUncutRun) {
   EXPECT_LT(decided.eval.end_time, uncut.end_time);
 }
 
+TEST(ObjectiveDecidedHorizon, PackingFeatureOnlyOnFullHorizonRuns) {
+  // min_avg_separation scans every recorded sample, and only E_Fuzz's
+  // novelty signature reads it: a full-horizon evaluation reports the
+  // packing at the uncut run's closest_time(); a decided-horizon one skips
+  // the scan and leaves the field at 0.0.
+  const sim::MissionSpec mission = paper_mission(fuzz::mission_seed(1000, 0, 0), 10);
+  const sim::Simulator simulator(sim_config());
+  auto system = swarm::make_vasarhelyi_system();
+  const fuzz::Seed seed{.target = 2, .victim = 3,
+                        .direction = attack::SpoofDirection::kRight};
+  const fuzz::EvalGuards full{.full_horizon = true};
+  const fuzz::EvalGuards decided{};
+  const fuzz::AttackEvalOutcome flown = fuzz::evaluate_attack(
+      mission, simulator, *system, seed, 10.0, nullptr, &full, 10.0, 15.0);
+  const attack::GpsSpoofer spoofer(
+      attack::SpoofingPlan{.target = 2, .direction = attack::SpoofDirection::kRight,
+                           .start_time = 10.0, .duration = 15.0, .distance = 10.0},
+      mission);
+  const sim::RunResult uncut = simulator.run(mission, *system, &spoofer);
+  const double packing = uncut.recorder.avg_inter_distance(
+      uncut.recorder.sample_index_at(uncut.recorder.closest_time()));
+  EXPECT_GT(packing, 0.0);
+  EXPECT_EQ(flown.eval.min_avg_separation, packing);
+
+  for (const fuzz::EvalGuards* guards :
+       {&decided, static_cast<const fuzz::EvalGuards*>(nullptr)}) {
+    const fuzz::AttackEvalOutcome cut = fuzz::evaluate_attack(
+        mission, simulator, *system, seed, 10.0, nullptr, guards, 10.0, 15.0);
+    EXPECT_EQ(cut.eval.min_avg_separation, 0.0);
+    EXPECT_EQ(cut.eval.f, flown.eval.f);
+  }
+}
+
 TEST(EvolutionaryDecidedHorizon, CorpusSignaturesComeFromFullHorizonRuns) {
   // E_Fuzz's persisted corpus records each entry's novelty signature, which
   // reads min_avg_separation — tightest at arrival. Re-simulating every
