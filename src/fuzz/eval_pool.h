@@ -37,6 +37,13 @@ class EvalPool {
     Seed seed{};
   };
 
+  // A window-tree family (WindowBranch, DESIGN.md §10): `size` consecutive
+  // jobs sharing one seed and one t_s, with their branch time.
+  struct Family {
+    std::size_t size = 0;
+    double branch_time = 0.0;
+  };
+
   // Outcome of one job: either an evaluation plus its step accounting, or
   // the exception the simulation raised (watchdog trip, sentinel, ...).
   struct JobResult : AttackEvalOutcome {
@@ -65,9 +72,13 @@ class EvalPool {
   // Evaluates every job of the batch (concurrently when the pool has more
   // than one lane) and returns the outcomes in job order. Blocking; one
   // batch in flight at a time per pool. Exceptions are captured per job,
-  // never thrown from here.
-  [[nodiscard]] std::vector<JobResult> evaluate(const BatchContext& context,
-                                                std::span<const Job> jobs);
+  // never thrown from here. `families` (optional) are the families the job
+  // list opens with, in order. One lane flies each family's jobs in order,
+  // the later ones resuming from the first one's branch point, and keeps
+  // that branch only while it flies the family.
+  [[nodiscard]] std::vector<JobResult> evaluate(
+      const BatchContext& context, std::span<const Job> jobs,
+      std::span<const Family> families = {});
 
  private:
   struct Lane {
@@ -76,7 +87,7 @@ class EvalPool {
   };
 
   static void run_job(Lane& lane, const BatchContext& context, const Job& job,
-                      JobResult& out) noexcept;
+                      JobResult& out, WindowBranch* branch) noexcept;
 
   std::vector<std::unique_ptr<Lane>> lanes_;  // one clone per pool lane
   util::WorkerPool pool_;

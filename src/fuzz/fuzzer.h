@@ -136,7 +136,8 @@ struct FuzzResult {
   int corpus_admissions = 0;
   // Performance accounting (not part of the search outcome, and excluded
   // from deterministic_equal like wall time): control ticks simulated vs
-  // skipped by resuming from clean-run prefix checkpoints, plus the batch
+  // skipped by resuming from a checkpoint, either a clean-run prefix or a
+  // sibling window's branch point (window-tree reuse), plus the batch
   // count submitted to the parallel evaluation engine and the eval-thread
   // count it ran with.
   std::int64_t sim_steps_executed = 0;

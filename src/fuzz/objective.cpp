@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <stdexcept>
 
 #include "fuzz/eval_pool.h"
@@ -46,13 +47,26 @@ const sim::SimulationCheckpoint* PrefixCache::latest_at_or_before(
   return best;
 }
 
+namespace {
+
+// Keeps the one checkpoint a RunHooks::branch_sink capture emits.
+class BranchCapture final : public sim::CheckpointSink {
+ public:
+  void on_checkpoint(sim::SimulationCheckpoint&& checkpoint) override {
+    captured = std::move(checkpoint);
+  }
+  std::optional<sim::SimulationCheckpoint> captured;
+};
+
+}  // namespace
+
 AttackEvalOutcome evaluate_attack(const sim::MissionSpec& mission,
                                   const sim::Simulator& simulator,
                                   swarm::FlockingControlSystem& system,
                                   const Seed& seed, double spoof_distance,
                                   const PrefixCache* prefix,
                                   const EvalGuards* guards, double t_start,
-                                  double duration) {
+                                  double duration, WindowBranch* branch) {
   const attack::SpoofingPlan plan{
       .target = seed.target,
       .direction = seed.direction,
@@ -62,20 +76,30 @@ AttackEvalOutcome evaluate_attack(const sim::MissionSpec& mission,
   };
   const attack::GpsSpoofer spoofer(plan, mission);
 
-  // Until t_start the attacked run is bit-identical to the clean run, so a
-  // clean-run checkpoint taken at or before t_start is a valid prefix.
-  const sim::SimulationCheckpoint* resume =
-      prefix != nullptr ? prefix->latest_at_or_before(t_start) : nullptr;
-  if (resume != nullptr && prefix->source() == nullptr) {
-    throw std::logic_error(
-        "Objective: prefix cache has checkpoints but no source recorder; "
-        "call PrefixCache::set_source(clean.recorder) after the clean run");
-  }
   sim::RunHooks hooks;
   hooks.spoofer = &spoofer;
-  if (resume != nullptr) {
+  if (branch != nullptr && branch->checkpoint &&
+      branch->time <= t_start + duration) {
+    // A sibling flew the same offsets up to its branch point.
+    hooks.resume_from = &*branch->checkpoint;
+    hooks.resume_recorder = &*branch->recorder;
+  } else if (const sim::SimulationCheckpoint* resume =
+                 prefix != nullptr ? prefix->latest_at_or_before(t_start)
+                                   : nullptr) {
+    // Until t_start the attacked run is bit-identical to the clean run, so
+    // a clean-run checkpoint taken at or before t_start is a valid prefix.
+    if (prefix->source() == nullptr) {
+      throw std::logic_error(
+          "Objective: prefix cache has checkpoints but no source recorder; "
+          "call PrefixCache::set_source(clean.recorder) after the clean run");
+    }
     hooks.resume_from = resume;
     hooks.resume_recorder = prefix->source();
+  }
+  BranchCapture capture;
+  if (branch != nullptr && !branch->checkpoint) {
+    hooks.branch_sink = &capture;
+    hooks.branch_time = branch->time;
   }
   if (guards != nullptr) {
     hooks.watchdog = guards->watchdog;
@@ -86,7 +110,7 @@ AttackEvalOutcome evaluate_attack(const sim::MissionSpec& mission,
     hooks.stop_when_decided_after =
         t_start + duration + 1.0 / simulator.config().gps.rate_hz;
   }
-  const sim::RunResult run = simulator.run(mission, system, hooks);
+  sim::RunResult run = simulator.run(mission, system, hooks);
 
   AttackEvalOutcome out;
   out.steps_executed = run.steps_executed;
@@ -148,6 +172,10 @@ AttackEvalOutcome evaluate_attack(const sim::MissionSpec& mission,
       out.eval.target_caused = involves_target;
     }
   }
+  if (capture.captured) {
+    branch->checkpoint = std::move(capture.captured);
+    branch->recorder = std::move(run.recorder);
+  }
   return out;
 }
 
@@ -186,18 +214,50 @@ void Objective::project(double& t_start, double& duration) const {
 
 namespace {
 
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
 std::pair<std::uint64_t, std::uint64_t> memo_key(double t_start,
                                                  double duration) noexcept {
   return {std::bit_cast<std::uint64_t>(t_start),
           std::bit_cast<std::uint64_t>(duration)};
 }
 
+// Window-tree families (DESIGN.md §10) among projected windows that are
+// each simulated once: positions grouped by the bits of t_s, in
+// first-occurrence order, keeping only groups of two or more.
+std::vector<std::vector<std::size_t>> window_families(
+    std::span<const EvalRequest> windows) {
+  std::vector<std::vector<std::size_t>> families;
+  std::map<std::uint64_t, std::size_t> by_start;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const auto [it, inserted] = by_start.try_emplace(
+        std::bit_cast<std::uint64_t>(windows[i].t_start), families.size());
+    if (inserted) families.emplace_back();
+    families[it->second].push_back(i);
+  }
+  std::erase_if(families, [](const auto& family) { return family.size() < 2; });
+  return families;
+}
+
+// A family's branch time: t_s + its shortest Δt, the window end as
+// SpoofingPlan::active_at computes it.
+double branch_time(std::span<const EvalRequest> windows,
+                   std::span<const std::size_t> family) {
+  double shortest = std::numeric_limits<double>::infinity();
+  for (const std::size_t i : family) shortest = std::min(shortest, windows[i].duration);
+  return windows[family.front()].t_start + shortest;
+}
+
 }  // namespace
 
 ObjectiveEval Objective::evaluate(double t_start, double duration) {
   project(t_start, duration);
+  return evaluate_projected({.t_start = t_start, .duration = duration}, nullptr);
+}
 
-  const MemoKey key = memo_key(t_start, duration);
+ObjectiveEval Objective::evaluate_projected(const EvalRequest& window,
+                                            WindowBranch* branch) {
+  const MemoKey key = memo_key(window.t_start, window.duration);
   if (const auto it = memo_.find(key); it != memo_.end()) {
     ++memo_hits_;
     return it->second;
@@ -205,7 +265,7 @@ ObjectiveEval Objective::evaluate(double t_start, double duration) {
 
   const AttackEvalOutcome out =
       evaluate_attack(mission_, simulator_, system_, seed_, spoof_distance_,
-                      prefix_, guards_, t_start, duration);
+                      prefix_, guards_, window.t_start, window.duration, branch);
   ++evaluations_;
   sim_steps_executed_ += out.steps_executed;
   prefix_steps_reused_ += out.steps_resumed;
@@ -244,14 +304,45 @@ void Objective::evaluate_groups(std::span<const ObjectiveBatch> groups,
   EvalPool* const pool = lead->pool_;
   if (pool == nullptr || pool->threads() <= 1 || total <= 1) {
     // Lazy serial path: an entry is only evaluated once every earlier entry
-    // was consumed.
+    // was consumed. A family's branch lives until its last member has flown.
     for (std::size_t g = 0; g < groups.size(); ++g) {
       Objective& objective = *groups[g].objective;
       ++objective.eval_batches_;
       const std::span<const EvalRequest> requests = groups[g].requests;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (!consume(g, i, objective.evaluate(requests[i].t_start,
-                                              requests[i].duration))) {
+      std::vector<EvalRequest> windows(requests.begin(), requests.end());
+      for (EvalRequest& w : windows) objective.project(w.t_start, w.duration);
+      std::vector<WindowBranch> branches;
+      std::vector<std::size_t> last_member;  // per family
+      std::vector<std::size_t> family_of(windows.size(), kNone);
+      if (objective.prefix_ != nullptr) {
+        // The group's windows to simulate: first occurrences of keys not
+        // yet memoised.
+        std::vector<EvalRequest> fresh;
+        std::vector<std::size_t> position;
+        std::set<MemoKey> seen;
+        for (std::size_t i = 0; i < windows.size(); ++i) {
+          const MemoKey key = memo_key(windows[i].t_start, windows[i].duration);
+          if (!objective.memo_.contains(key) && seen.insert(key).second) {
+            fresh.push_back(windows[i]);
+            position.push_back(i);
+          }
+        }
+        const auto families = window_families(fresh);
+        branches.resize(families.size());
+        for (std::size_t f = 0; f < families.size(); ++f) {
+          branches[f].time = branch_time(fresh, families[f]);
+          for (const std::size_t k : families[f]) family_of[position[k]] = f;
+          last_member.push_back(position[families[f].back()]);
+        }
+      }
+      for (std::size_t i = 0; i < windows.size(); ++i) {
+        const std::size_t f = family_of[i];
+        WindowBranch* branch = f != kNone ? &branches[f] : nullptr;
+        const ObjectiveEval eval = objective.evaluate_projected(windows[i], branch);
+        if (branch != nullptr && i == last_member[f]) {
+          *branch = WindowBranch{};  // release the recorder
+        }
+        if (!consume(g, i, eval)) {
           return;
         }
       }
@@ -265,17 +356,19 @@ void Objective::evaluate_groups(std::span<const ObjectiveBatch> groups,
   // increments, memo inserts — only the entries the consumer accepts.
   // Discarded speculative work touches no observable state, so every
   // objective's counters and memo match the serial path bit for bit.
-  constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
   struct Candidate {
     MemoKey key{};
-    std::size_t job = kNoJob;
+    std::size_t job = kNone;  // index into `pending`, then into `jobs`
   };
   std::vector<Candidate> candidates;
   candidates.reserve(total);
-  std::vector<EvalPool::Job> jobs;
+  std::vector<EvalPool::Job> pending;  // each simulated key once, in order
+  std::vector<std::vector<std::size_t>> families;  // positions in `pending`
+  std::vector<EvalPool::Family> family_tasks;      // one per family
   std::map<std::pair<const Objective*, MemoKey>, std::size_t> queued;
   for (const ObjectiveBatch& group : groups) {
     const Objective& objective = *group.objective;
+    std::vector<EvalRequest> fresh;  // this group's share of `pending`
     for (const EvalRequest& request : group.requests) {
       double t_start = request.t_start;
       double duration = request.duration;
@@ -289,14 +382,48 @@ void Objective::evaluate_groups(std::span<const ObjectiveBatch> groups,
       // first occurrence commits the memo entry and later ones hit it,
       // exactly as serial evaluation would.
       const auto [it, inserted] =
-          queued.try_emplace({&objective, c.key}, jobs.size());
+          queued.try_emplace({&objective, c.key}, pending.size());
       if (inserted) {
-        jobs.push_back({.t_start = t_start,
-                        .duration = duration,
-                        .seed = objective.seed_});
+        pending.push_back({.t_start = t_start,
+                           .duration = duration,
+                           .seed = objective.seed_});
+        fresh.push_back({.t_start = t_start, .duration = duration});
       }
       c.job = it->second;
     }
+    // The serial path's families: a group that runs at all runs after
+    // every earlier group was fully consumed, so its fresh windows are
+    // exactly the ones the serial path finds un-memoised.
+    if (lead->prefix_ != nullptr) {
+      const std::size_t first = pending.size() - fresh.size();
+      for (std::vector<std::size_t>& family : window_families(fresh)) {
+        family_tasks.push_back({.size = family.size(),
+                                .branch_time = branch_time(fresh, family)});
+        for (std::size_t& k : family) k += first;
+        families.push_back(std::move(family));
+      }
+    }
+  }
+
+  // Families go first, each one pool task, so lane 0 starts on the
+  // largest; the remaining jobs follow one task each.
+  std::vector<EvalPool::Job> jobs;
+  jobs.reserve(pending.size());
+  std::vector<std::size_t> job_of(pending.size(), kNone);
+  for (const std::vector<std::size_t>& family : families) {
+    for (const std::size_t k : family) {
+      job_of[k] = jobs.size();
+      jobs.push_back(pending[k]);
+    }
+  }
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    if (job_of[k] == kNone) {
+      job_of[k] = jobs.size();
+      jobs.push_back(pending[k]);
+    }
+  }
+  for (Candidate& c : candidates) {
+    if (c.job != kNone) c.job = job_of[c.job];
   }
 
   std::vector<EvalPool::JobResult> results;
@@ -305,7 +432,7 @@ void Objective::evaluate_groups(std::span<const ObjectiveBatch> groups,
                                          .spoof_distance = lead->spoof_distance_,
                                          .prefix = lead->prefix_,
                                          .guards = lead->guards_};
-    results = pool->evaluate(context, jobs);
+    results = pool->evaluate(context, jobs, family_tasks);
   }
 
   std::size_t next = 0;

@@ -164,6 +164,20 @@ struct ObjectiveBatch {
 using GroupConsumer =
     std::function<bool(std::size_t, std::size_t, const ObjectiveEval&)>;
 
+// The branch point one window-tree family shares (DESIGN.md §10,
+// "Window-tree reuse"). Windows with the same projected t_s spoof
+// identically until the shortest of them closes, at `time` = t_s + min Δt
+// (SpoofingPlan::active_at's expression). A member that finds no checkpoint
+// here captures one at `time` and hands over its recorder, which supplies
+// the sample prefix; later members resume from it instead of from the
+// PrefixCache. When the first member's run ends before `time`, every
+// member's does, and the whole family flies from the PrefixCache.
+struct WindowBranch {
+  double time = 0.0;
+  std::optional<sim::SimulationCheckpoint> checkpoint{};
+  std::optional<sim::Recorder> recorder{};  // the capturing run's, moved in
+};
+
 // Result of one attack simulation, before any Objective bookkeeping.
 struct AttackEvalOutcome {
   ObjectiveEval eval{};
@@ -177,14 +191,17 @@ struct AttackEvalOutcome {
 // (each caller must own its clone); `prefix` is only read. Unless
 // guards->full_horizon, the run stops once its outcome is decided
 // (sim::RunHooks::stop_when_decided_after, armed one GPS period after the
-// window closes, since a spoofed fix is held until the next one). Throws
-// sim::RunFaultError on guard trips or numerical divergence and
-// std::logic_error on a prefix cache with checkpoints but no source.
+// window closes, since a spoofed fix is held until the next one). With a
+// `branch` (optional) of the window's family, the run resumes from the
+// branch's checkpoint when there is one and branch->time <= t_start +
+// duration; without one, it captures it, moving its recorder into the
+// branch. Throws sim::RunFaultError on guard trips or numerical divergence
+// and std::logic_error on a prefix cache with checkpoints but no source.
 [[nodiscard]] AttackEvalOutcome evaluate_attack(
     const sim::MissionSpec& mission, const sim::Simulator& simulator,
     swarm::FlockingControlSystem& system, const Seed& seed,
     double spoof_distance, const PrefixCache* prefix, const EvalGuards* guards,
-    double t_start, double duration);
+    double t_start, double duration, WindowBranch* branch = nullptr);
 
 // Evaluates attacked missions for a fixed seed. Not thread-safe (owns the
 // control system it mutates); create one per worker.
@@ -213,12 +230,17 @@ class Objective final : public ObjectiveFunction {
   // and replays the outcomes group by group, in submission order within
   // each group. Stopping (consume returning false) ends the whole call, so
   // the observable result is that of calling each group's evaluate_batch in
-  // turn until the first stop. With a pool of two or more threads and more
-  // than one request in total: projects every candidate, simulates the
-  // non-memoised ones of *all* groups in one pool call (speculatively —
-  // including entries a serial run would never reach; duplicates are
-  // simulated once per objective), then replays, committing counters and
-  // memo entries only for the entries the consumer actually accepts.
+  // turn until the first stop. With a prefix cache, each group's
+  // non-memoised windows that share a projected t_s form a window-tree
+  // family (WindowBranch): its first member to fly captures the branch
+  // point and the later ones resume from it. With a pool of two or more
+  // threads and more than one request in total: projects every candidate,
+  // simulates the non-memoised ones of *all* groups in one pool call
+  // (speculatively — including entries a serial run would never reach;
+  // duplicates are simulated once per objective; each family is one pool
+  // task, flown in submission order on one lane), then replays, committing
+  // counters and memo entries only for the entries the consumer actually
+  // accepts.
   // Evaluations, memo hits, step counters, batch counts and memo contents
   // end up exactly as on the lazy serial path; a captured worker exception
   // is rethrown at its entry's replay position. eval_batches() counts one
@@ -241,8 +263,9 @@ class Objective final : public ObjectiveFunction {
   // serial and parallel runs of the same search.
   [[nodiscard]] int eval_batches() const noexcept { return eval_batches_; }
 
-  // Control ticks simulated vs skipped by resuming from prefix checkpoints,
-  // summed over all evaluations.
+  // Control ticks simulated vs skipped by resuming from a checkpoint (a
+  // clean-run prefix or a sibling's branch point), summed over all
+  // evaluations.
   [[nodiscard]] std::int64_t sim_steps_executed() const noexcept {
     return sim_steps_executed_;
   }
@@ -274,6 +297,10 @@ class Objective final : public ObjectiveFunction {
   // simulations.
   using MemoKey = std::pair<std::uint64_t, std::uint64_t>;
   std::map<MemoKey, ObjectiveEval> memo_;
+
+  // evaluate() for an already projected window, optionally as a member of
+  // a window-tree family.
+  ObjectiveEval evaluate_projected(const EvalRequest& window, WindowBranch* branch);
 };
 
 }  // namespace swarmfuzz::fuzz

@@ -18,13 +18,12 @@ namespace {
 // The checksum is spliced in as the line's final member, so a framed line is
 // `{...,"crc":"xxxxxxxx"}` and the checksummed payload is the same line with
 // the crc member removed (i.e. what to_jsonl produced before framing). The
-// suffix is matched positionally — exactly at the end of the line — so a
-// `"crc"` substring inside a detail string can never be mistaken for it.
+// member is matched positionally — it must end the line — and a `"crc"`
+// substring inside a detail string is escaped (`\"crc\"`), so it can never be
+// mistaken for it.
 
 constexpr std::string_view kCrcPrefix = ",\"crc\":\"";
 constexpr std::size_t kCrcHexLen = 8;
-// ,"crc":" + 8 hex digits + "}
-constexpr std::size_t kCrcSuffixLen = kCrcPrefix.size() + kCrcHexLen + 2;
 
 }  // namespace
 
@@ -39,27 +38,36 @@ std::string frame_with_crc(std::string line) {
 }
 
 void verify_crc_frame(std::string_view line) {
-  if (line.size() < kCrcSuffixLen ||
-      line.compare(line.size() - kCrcSuffixLen, kCrcPrefix.size(), kCrcPrefix) != 0 ||
-      line.compare(line.size() - 2, 2, "\"}") != 0) {
+  // A framed line ends in the crc member; its value runs from the last
+  // `,"crc":"` to the closing `"}` and holds no quote or backslash (a JSON
+  // string value cannot end there otherwise).
+  const std::size_t member = line.rfind(kCrcPrefix);
+  if (member == std::string_view::npos || !line.ends_with("\"}")) {
     return;  // unframed legacy line; structural validity is the parser's job
   }
-  const std::string_view hex =
-      line.substr(line.size() - kCrcHexLen - 2, kCrcHexLen);
+  const std::size_t value_begin = member + kCrcPrefix.size();
+  if (value_begin > line.size() - 2) return;  // the `"}` is the prefix's own quote
+  const std::string_view hex = line.substr(value_begin, line.size() - 2 - value_begin);
+  if (hex.find_first_of("\"\\") != std::string_view::npos) {
+    return;  // `,"crc":"` sits in an earlier member; the last one is not a crc
+  }
+  // Anything but exactly 8 lowercase hex digits is a damaged checksum.
+  const auto mismatch = [] {
+    throw std::invalid_argument("telemetry: record checksum mismatch");
+  };
+  if (hex.size() != kCrcHexLen) mismatch();
   std::uint32_t expected = 0;
   for (const char ch : hex) {
     const int digit = ch >= '0' && ch <= '9'   ? ch - '0'
                       : ch >= 'a' && ch <= 'f' ? ch - 'a' + 10
                                                : -1;
-    if (digit < 0) return;  // not a checksum after all (e.g. 8-char hash field)
+    if (digit < 0) mismatch();
     expected = expected << 4 | static_cast<std::uint32_t>(digit);
   }
-  const std::string_view body = line.substr(0, line.size() - kCrcSuffixLen);
+  const std::string_view body = line.substr(0, member);
   const std::uint32_t actual =
       util::crc32_final(util::crc32_update(util::crc32_update(util::crc32_init(), body), "}"));
-  if (actual != expected) {
-    throw std::invalid_argument("telemetry: record checksum mismatch");
-  }
+  if (actual != expected) mismatch();
 }
 
 namespace {
@@ -198,7 +206,9 @@ FuzzResult result_from(const util::JsonValue& node) {
   result.simulations = node.at("simulations").as_int();
   // Step counters arrived after schema v1 shipped; records written before
   // then simply lack them. Default to 0 instead of bumping the version —
-  // they are performance accounting, not search state.
+  // they are performance accounting, not search state. prefix_steps_reused
+  // counts the ticks inherited from any checkpoint: clean-run prefixes
+  // and, since window-tree reuse, sibling windows' branch points.
   const util::JsonValue* steps = node.find("sim_steps_executed");
   result.sim_steps_executed = steps != nullptr ? steps->as_int64() : 0;
   const util::JsonValue* reused = node.find("prefix_steps_reused");

@@ -59,8 +59,9 @@ struct TelemetryRecord {
 [[nodiscard]] std::string to_jsonl(const TelemetryRecord& record);
 
 // Parses one JSONL line. Lines without a crc member (written before framing
-// existed) are accepted; a present-but-mismatching crc throws. Throws
-// std::invalid_argument on malformed input.
+// existed) are accepted; a present crc that mismatches, or is not 8
+// lowercase hex digits, throws. Throws std::invalid_argument on malformed
+// input, nesting deeper than util::parse_json accepts included.
 [[nodiscard]] TelemetryRecord telemetry_record_from_json(std::string_view line);
 
 // A mission the campaign supervisor gave up on: every fault retry faulted
@@ -97,7 +98,8 @@ void append_jsonl_line(const std::string& path, std::string_view line);
 // where the checksum covers the unframed line — so `line` must be a
 // single-line JSON object. verify_crc_frame validates the trailing member
 // when present (unframed legacy lines pass through) and throws
-// std::invalid_argument on mismatch.
+// std::invalid_argument on mismatch, which includes a value that is not
+// exactly 8 lowercase hex digits.
 [[nodiscard]] std::string frame_with_crc(std::string line);
 void verify_crc_frame(std::string_view line);
 

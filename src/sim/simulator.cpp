@@ -201,6 +201,31 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
   const FaultInjection& inject = hooks.inject_fault;
   const Vec3 axis = mission_axis(mission);  // for the decided-outcome rule
 
+  // Emits the loop-top state (everything the loop evolves) to `sink`.
+  const auto capture = [&](CheckpointSink& sink) {
+    SimulationCheckpoint cp;
+    cp.time = t;
+    cp.steps = total_steps;
+    world.save(cp.vehicles);
+    cp.gps.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      gps[static_cast<size_t>(i)].save(cp.gps[static_cast<size_t>(i)]);
+    }
+    if (config_.use_navigation_filter) {
+      cp.imus.resize(static_cast<size_t>(n));
+      cp.filters.resize(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        imus[static_cast<size_t>(i)].save(cp.imus[static_cast<size_t>(i)]);
+        filters[static_cast<size_t>(i)].save(cp.filters[static_cast<size_t>(i)]);
+      }
+    }
+    control.save_state(cp.control);
+    cp.collided = result.collided;
+    cp.first_collision = result.first_collision;
+    result.recorder.save(cp.recorder_state);
+    sink.on_checkpoint(std::move(cp));
+  };
+
   double last_checkpoint = -std::numeric_limits<double>::infinity();
   while (t < mission.max_time) {
     // Watchdog: the step budget is a plain compare; the wall-clock deadline
@@ -225,29 +250,12 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
     // spoofing window that opens at this very t).
     if (hooks.checkpoints != nullptr &&
         t - last_checkpoint >= hooks.checkpoint_period - 1e-9) {
-      SimulationCheckpoint cp;
-      cp.time = t;
-      cp.steps = total_steps;
-      world.save(cp.vehicles);
-      cp.gps.resize(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        gps[static_cast<size_t>(i)].save(cp.gps[static_cast<size_t>(i)]);
-      }
-      if (config_.use_navigation_filter) {
-        cp.imus.resize(static_cast<size_t>(n));
-        cp.filters.resize(static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i) {
-          imus[static_cast<size_t>(i)].save(cp.imus[static_cast<size_t>(i)]);
-          filters[static_cast<size_t>(i)].save(
-              cp.filters[static_cast<size_t>(i)]);
-        }
-      }
-      control.save_state(cp.control);
-      cp.collided = result.collided;
-      cp.first_collision = result.first_collision;
-      result.recorder.save(cp.recorder_state);
-      hooks.checkpoints->on_checkpoint(std::move(cp));
+      capture(*hooks.checkpoints);
       last_checkpoint = t;
+    }
+    if (hooks.branch_sink != nullptr && t <= hooks.branch_time &&
+        !(t + config_.dt <= hooks.branch_time)) {
+      capture(*hooks.branch_sink);
     }
 
     // 1-2. Sense and exchange states.

@@ -111,6 +111,15 @@ struct RunHooks {
   CheckpointSink* checkpoints = nullptr;
   double checkpoint_period = 1.0;  // s of sim time between checkpoints
 
+  // One-shot capture (window-tree reuse, DESIGN.md §10): when set, the run
+  // emits one checkpoint to `branch_sink` at the last loop-top t with
+  // t <= branch_time, i.e. where t <= branch_time && !(t + dt <= branch_time)
+  // (World advances its clock by `time += dt`, so exactly one tick passes
+  // this test). Nothing is emitted when the run ends before that tick or
+  // resumes after it. A null sink costs one pointer test per tick.
+  CheckpointSink* branch_sink = nullptr;
+  double branch_time = 0.0;
+
   // When set, the run starts from this checkpoint instead of t = 0, and
   // `resume_recorder` must point at the recorder of the run that captured
   // it (at capture time or later — e.g. the finished clean run's recorder),

@@ -295,6 +295,11 @@ namespace {
 
 class JsonParser {
  public:
+  // Deepest array/object nesting accepted. Parsing (and destroying) a value
+  // recurses once per level, so an unbounded depth lets a few hundred KB of
+  // '[' overflow the stack; real documents nest a handful of levels.
+  static constexpr int kMaxDepth = 256;
+
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
@@ -338,8 +343,14 @@ class JsonParser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // No restore on failure: fail() abandons the whole parse.
+        if (++depth_ > kMaxDepth) fail("nesting too deep");
+        JsonValue value = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -508,6 +519,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects
 };
 
 }  // namespace

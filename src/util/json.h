@@ -125,8 +125,9 @@ class JsonValue {
 
 // Parses one complete JSON document (RFC 8259 subset: no comments, strict
 // literals, \uXXXX escapes decoded to UTF-8 including surrogate pairs).
-// Trailing whitespace is allowed; any other trailing content, or malformed
-// input, throws std::invalid_argument with an offset-bearing message.
+// Trailing whitespace is allowed; any other trailing content, malformed
+// input, or arrays/objects nested more than 256 deep throw
+// std::invalid_argument with an offset-bearing message.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 }  // namespace swarmfuzz::util

@@ -232,5 +232,32 @@ TEST(JsonParse, RejectsRawControlCharactersInStrings) {
   EXPECT_THROW((void)parse_json("\"a\nb\""), std::invalid_argument);
 }
 
+// Each nesting level is one recursion of the parser (and of the value's
+// destructor): unbounded input depth used to overflow the stack.
+TEST(JsonParse, DeepNestingThrowsInsteadOfOverflowing) {
+  for (const char open : {'[', '{'}) {
+    std::string deep(200000, open);
+    if (open == '{') {
+      deep.clear();
+      for (int i = 0; i < 100000; ++i) deep += "{\"a\":";
+    }
+    try {
+      (void)parse_json(deep);
+      ADD_FAILURE() << "accepted " << open;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting too deep"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(JsonParse, NestingUpToTheLimitParses) {
+  const std::string at_limit =
+      std::string(256, '[') + std::string(256, ']');
+  EXPECT_NO_THROW((void)parse_json(at_limit));
+  const std::string over = std::string(257, '[') + std::string(257, ']');
+  EXPECT_THROW((void)parse_json(over), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace swarmfuzz::util

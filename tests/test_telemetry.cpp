@@ -147,6 +147,30 @@ TEST(Telemetry, CorruptedFramedRecordIsRejected) {
   EXPECT_THROW((void)telemetry_record_from_json(line), std::invalid_argument);
 }
 
+TEST(Telemetry, NonHexChecksumDigitIsRejected) {
+  // A damaged checksum digit must not turn the line into an unchecked
+  // legacy record.
+  const std::string line = to_jsonl(sample_record());
+  for (const char bad : {'g', 'p', 'A', ' '}) {
+    std::string damaged = line;
+    damaged[damaged.size() - 3] = bad;
+    EXPECT_THROW((void)telemetry_record_from_json(damaged), std::invalid_argument)
+        << bad;
+  }
+  // Neither is a checksum of the wrong length.
+  std::string shorter = line;
+  shorter.erase(shorter.size() - 3, 1);
+  EXPECT_THROW((void)telemetry_record_from_json(shorter), std::invalid_argument);
+  std::string longer = line;
+  longer.insert(longer.size() - 2, "0");
+  EXPECT_THROW((void)telemetry_record_from_json(longer), std::invalid_argument);
+}
+
+TEST(Telemetry, DeeplyNestedLineThrowsInsteadOfOverflowing) {
+  EXPECT_THROW((void)telemetry_record_from_json(std::string(200000, '[')),
+               std::invalid_argument);
+}
+
 TEST(Telemetry, FaultFieldsRoundTripAndStayOffCleanRecords) {
   // Fault-free records must remain byte-compatible with the pre-fault
   // schema: no fault members at all.
