@@ -15,8 +15,8 @@
 #include "attack/spoofing.h"
 #include "defense/detector.h"
 #include "fuzz/campaign.h"
-#include "fuzz/coordinator.h"
 #include "fuzz/fuzzer.h"
+#include "fuzz/lease.h"
 #include "fuzz/serialize.h"
 #include "fuzz/service.h"
 #include "fuzz/shard_merge.h"
@@ -223,45 +223,19 @@ fuzz::CampaignConfig campaign_config_from_manifest(
 void print_incomplete_report(const char* who, const std::string& dir,
                              const fuzz::ServiceManifest& manifest) {
   try {
-    const fuzz::LeaseTable table = fuzz::load_lease_table(
-        dir, manifest.num_missions, manifest.num_leases);
     const auto now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                             std::chrono::system_clock::now().time_since_epoch())
                             .count();
     const std::string report = fuzz::describe_incomplete_leases(
-        fuzz::probe_lease_health(dir, table, manifest.lease_ttl_ms, now_ms));
+        fuzz::probe_lease_health(
+            dir, fuzz::carve_leases(manifest.num_missions, manifest.num_leases),
+            manifest.lease_ttl_ms, now_ms));
     if (!report.empty()) {
       std::fprintf(stderr, "%s: incomplete leases:\n%s", who, report.c_str());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: cannot probe lease health: %s\n", who, e.what());
   }
-}
-
-fuzz::CoordinatorConfig coordinator_config_from(
-    const util::Options& options, const std::string& dir,
-    const fuzz::ServiceManifest& manifest) {
-  fuzz::CoordinatorConfig config;
-  config.dir = dir;
-  config.num_missions = manifest.num_missions;
-  config.num_leases = manifest.num_leases;
-  config.lease_ttl_ms = manifest.lease_ttl_ms;
-  config.poll_ms = static_cast<std::int64_t>(
-      options.get_double("coordinate-poll", 1.0) * 1000.0);
-  if (config.poll_ms < 1) {
-    throw std::invalid_argument("serve: --coordinate-poll must be positive");
-  }
-  config.stale_heartbeat_periods =
-      options.get_double("stale-heartbeat-periods", config.stale_heartbeat_periods);
-  config.straggler_rate_fraction =
-      options.get_double("straggler-rate-fraction", config.straggler_rate_fraction);
-  config.min_observations =
-      options.get_int("min-observations", config.min_observations);
-  config.stall_factor = options.get_double("stall-factor", config.stall_factor);
-  config.min_recarve_missions =
-      options.get_int("min-recarve-missions", config.min_recarve_missions);
-  config.recarve_pieces = options.get_int("recarve-pieces", config.recarve_pieces);
-  return config;
 }
 
 }  // namespace
@@ -504,34 +478,11 @@ int cmd_serve(const util::Options& options) {
               dir.c_str());
   std::printf("then merge:     swarmfuzz merge --dir=%s [--wait]\n", dir.c_str());
 
-  // --coordinate: stay resident as the adaptive coordinator — watch
-  // heartbeats and completion rates, re-carve stragglers' unfinished tails
-  // (fuzz/coordinator.h) — until the service completes or the timeout hits.
-  if (options.get_bool("coordinate", false)) {
-    fuzz::Coordinator coordinator(
-        coordinator_config_from(options, dir, manifest));
-    const double timeout_s = options.get_double("coordinate-timeout", 0.0);
-    const bool complete =
-        coordinator.run(static_cast<std::int64_t>(timeout_s * 1000.0));
-    const fuzz::CoordinatorStats& stats = coordinator.stats();
-    std::printf(
-        "coordinator: %d polls, %d re-carves (%d sub-leases, %d heals)\n",
-        stats.polls, stats.recarves, stats.subleases, stats.heals);
-    if (!complete) {
-      std::fprintf(stderr, "serve: coordination timed out after %.1fs\n",
-                   timeout_s);
-      print_incomplete_report("serve", dir, manifest);
-      return 1;
-    }
-    return 0;
-  }
-
-  // --wait: passively block until every active lease is done (external
-  // workers drive all progress), reporting the stuck leases on timeout.
+  // --wait: block until every lease is done (the workers drive all
+  // progress), reporting the stuck leases on timeout.
   if (options.get_bool("wait", false)) {
     const double timeout_s = options.get_double("wait-timeout", 0.0);
-    if (!fuzz::wait_for_service(dir, manifest.num_missions,
-                                manifest.num_leases,
+    if (!fuzz::wait_for_service(dir, manifest.num_leases,
                                 static_cast<std::int64_t>(timeout_s * 1000.0))) {
       std::fprintf(stderr, "serve: timed out waiting for service %s\n",
                    dir.c_str());
@@ -557,8 +508,8 @@ int cmd_shard(const util::Options& options) {
   // Default owner: hostname-independent but unique per process.
   worker.owner = options.get(
       "owner", "shard-" + std::to_string(static_cast<long long>(getpid())));
-  // --chaos=kill@i,torn-write@i,hang@i,eio@i[xN] (also SWARMFUZZ_CHAOS):
-  // deterministic failure injection for tests and the CI chaos-smoke job.
+  // --chaos=kill@i,torn-write@i,eio@i[xN] (also SWARMFUZZ_CHAOS):
+  // deterministic failure injection for tests and the CI shard-smoke job.
   worker.chaos = fuzz::parse_chaos_plan(options.get("chaos", ""));
   // Transport retry jitter is seeded from the campaign seed so chaos runs
   // replay the exact same backoff schedule.
@@ -586,8 +537,7 @@ int cmd_merge(const util::Options& options) {
 
   if (options.get_bool("wait", false)) {
     const double timeout_s = options.get_double("wait-timeout", 0.0);
-    if (!fuzz::wait_for_service(dir, manifest.num_missions,
-                                manifest.num_leases,
+    if (!fuzz::wait_for_service(dir, manifest.num_leases,
                                 static_cast<std::int64_t>(timeout_s * 1000.0))) {
       std::fprintf(stderr, "merge: timed out waiting for service %s\n",
                    dir.c_str());
@@ -603,29 +553,37 @@ int cmd_merge(const util::Options& options) {
   std::fprintf(stderr, "merge: %d shard files, %d records, %d duplicates\n",
                stats.shard_files, stats.records, stats.duplicates);
 
-  // --allow-partial: record what is missing machine-readably. holes.json +
-  // `resume-holes` turn an abandoned campaign's gaps back into claimable
-  // leases. Any complete merge — partial-tolerant or not — deletes a stale
-  // manifest so nothing ever resumes holes that no longer exist.
-  {
-    const std::vector<fuzz::MissionHole> holes =
-        fuzz::missing_mission_ranges(result);
-    if (holes.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(fuzz::holes_path(dir), ec);
-    } else {
-      fuzz::HolesManifest manifest_out;
-      manifest_out.config_hash = manifest.config_hash;
-      manifest_out.num_missions = manifest.num_missions;
-      manifest_out.holes = holes;
-      fuzz::write_holes(dir, manifest_out);
-      int missing = 0;
-      for (const fuzz::MissionHole& hole : holes) missing += hole.size();
-      std::fprintf(stderr,
-                   "merge: partial — %d missions in %d hole(s); wrote %s "
-                   "(finish with `swarmfuzz resume-holes --dir=%s`)\n",
-                   missing, static_cast<int>(holes.size()),
-                   fuzz::holes_path(dir).c_str(), dir.c_str());
+  // --allow-partial: name what is missing. Running `shard` again finishes
+  // those leases once their claims expire — except a lease already marked
+  // done (its shard file was lost afterwards), which workers skip: name its
+  // marker so the operator can delete it first.
+  if (const std::vector<fuzz::MissionHole> holes =
+          fuzz::missing_mission_ranges(result);
+      !holes.empty()) {
+    std::string ranges;
+    int missing = 0;
+    for (const fuzz::MissionHole& hole : holes) {
+      missing += hole.size();
+      ranges += ' ';
+      ranges += std::to_string(hole.begin) + ".." + std::to_string(hole.end - 1);
+    }
+    std::fprintf(stderr,
+                 "merge: partial — %d missions missing:%s (finish with "
+                 "`swarmfuzz shard --dir=%s`)\n",
+                 missing, ranges.c_str(), dir.c_str());
+    const fuzz::LeaseStore store(dir, manifest.lease_ttl_ms, "merge-probe");
+    for (const fuzz::LeaseRange& lease :
+         fuzz::carve_leases(manifest.num_missions, manifest.num_leases)) {
+      if (!store.is_done(lease.lease_id)) continue;
+      for (const fuzz::MissionHole& hole : holes) {
+        if (hole.begin < lease.end && lease.begin < hole.end) {
+          std::fprintf(stderr,
+                       "merge: lease %d is marked done but missing missions; "
+                       "delete %s before running `shard`\n",
+                       lease.lease_id, store.done_path(lease.lease_id).c_str());
+          break;
+        }
+      }
     }
   }
 
@@ -645,14 +603,7 @@ int cmd_merge(const util::Options& options) {
       fuzz::validate_checkpoint_record(record, config);
       fuzz::MissionOutcome& outcome =
           golden.outcomes[static_cast<std::size_t>(record.mission_index)];
-      if (outcome.completed) continue;
-      outcome.completed = true;
-      outcome.mission_seed = record.mission_seed;
-      outcome.wall_time_s = record.wall_time_s;
-      outcome.result = record.result;
-      outcome.fault = record.fault;
-      outcome.fault_detail = record.fault_detail;
-      outcome.fault_attempts = record.fault_attempts;
+      if (!outcome.completed) outcome = fuzz::outcome_from_record(record);
     }
     if (!fuzz::deterministic_equal(result, golden)) {
       std::fprintf(stderr,
@@ -665,25 +616,6 @@ int cmd_merge(const util::Options& options) {
   }
 
   return emit_campaign_report(result, options, "");
-}
-
-int cmd_resume_holes(const util::Options& options) {
-  const std::string dir = options.get("dir", "");
-  if (dir.empty()) {
-    throw std::invalid_argument("resume-holes: --dir=DIR is required");
-  }
-  const fuzz::ServiceManifest manifest = fuzz::load_manifest(dir);
-  const fuzz::HolesManifest holes = fuzz::load_holes(dir);
-  const int created = fuzz::resume_holes(dir, manifest, holes);
-  int missing = 0;
-  for (const fuzz::MissionHole& hole : holes.holes) missing += hole.size();
-  std::printf(
-      "resume-holes %s: %d missing missions in %d hole(s), %d new lease(s) "
-      "created\n",
-      dir.c_str(), missing, static_cast<int>(holes.holes.size()), created);
-  std::printf("start workers:  swarmfuzz shard --dir=%s --owner=<unique>\n",
-              dir.c_str());
-  return 0;
 }
 
 int cmd_svg(const util::Options& options) {
@@ -798,28 +730,20 @@ int print_usage() {
       "  serve      initialize a sharded campaign service: --dir=DIR plus the\n"
       "             campaign options above; [--leases=K] (default 8)\n"
       "             [--lease-ttl=S] (worker heartbeat TTL, default 30)\n"
-      "             [--coordinate [--coordinate-timeout=S]] (stay resident:\n"
-      "             watch heartbeats/progress, re-carve stragglers' tails;\n"
-      "             knobs: --coordinate-poll=S --stale-heartbeat-periods=X\n"
-      "             --straggler-rate-fraction=X --min-observations=N\n"
-      "             --stall-factor=X --min-recarve-missions=N\n"
-      "             --recarve-pieces=N)\n"
       "             [--wait [--wait-timeout=S]] (block until workers finish;\n"
       "             on timeout, report each incomplete lease)\n"
       "  shard      run one worker against a service: --dir=DIR\n"
       "             [--owner=NAME] (unique per worker; default shard-<pid>)\n"
       "             claims leases, reclaims expired ones, resumes partial\n"
       "             ranges; exits when every lease is done\n"
-      "             [--chaos=kill|hang|torn-write|eio@idx[xN],...] (failure\n"
+      "             [--chaos=kill|torn-write|eio@idx[xN],...] (failure\n"
       "             injection; also read from SWARMFUZZ_CHAOS)\n"
       "  merge      merge shard streams into the campaign report: --dir=DIR\n"
       "             [--wait [--wait-timeout=S]] (on timeout, report each\n"
       "             incomplete lease) [--allow-partial] (merge what exists;\n"
-      "             writes machine-readable holes.json for resume-holes)\n"
+      "             prints the missing mission ranges)\n"
       "             [--golden=FILE] (exit 3 unless bit-identical to a\n"
-      "             single-process checkpoint) [--summary=FILE] [--json]\n"
-      "  resume-holes  turn a partial merge's holes.json back into claimable\n"
-      "             leases: --dir=DIR; then restart shard workers\n\n"
+      "             single-process checkpoint) [--summary=FILE] [--json]\n\n"
       "common options: --drones=N --seed=N --distance=M --controller=vasarhelyi|\n"
       "                olfati|reynolds --dt=S --gps-rate=HZ --nav-filter\n"
       "                --vehicle=pointmass|quadrotor --spawn-range=M (spawn box\n"
@@ -855,15 +779,11 @@ constexpr std::string_view kSvgFlags[] = {"controller", "distance"};
 constexpr std::string_view kReplayFlags[] = {"target", "direction", "start",
                                              "duration", "distance", "controller",
                                              "detect", "detect-threshold"};
-constexpr std::string_view kServeFlags[] = {
-    "dir", "leases", "lease-ttl", "coordinate", "coordinate-timeout",
-    "coordinate-poll", "stale-heartbeat-periods", "straggler-rate-fraction",
-    "min-observations", "stall-factor", "min-recarve-missions", "recarve-pieces",
-    "wait", "wait-timeout"};
+constexpr std::string_view kServeFlags[] = {"dir", "leases", "lease-ttl",
+                                            "wait", "wait-timeout"};
 constexpr std::string_view kShardFlags[] = {"dir", "owner", "chaos"};
 constexpr std::string_view kMergeFlags[] = {"dir", "wait", "wait-timeout",
                                             "allow-partial", "golden"};
-constexpr std::string_view kDirFlag[] = {"dir"};
 
 struct Command {
   std::string_view name;
@@ -882,7 +802,6 @@ const Command* find_command(std::string_view name) {
       {"serve", cmd_serve, {kCampaignFlags, kSimFlags, kServeFlags}},
       {"shard", cmd_shard, {kShardFlags}},
       {"merge", cmd_merge, {kMergeFlags, kReportFlags}},
-      {"resume-holes", cmd_resume_holes, {kDirFlag}},
   };
   for (const Command& command : table) {
     if (command.name == name) return &command;

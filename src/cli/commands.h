@@ -7,14 +7,11 @@
 //   swarmfuzz replay    - execute an explicit spoofing plan, with optional
 //                         spoofing detection (--detect)
 //   swarmfuzz serve     - initialize a sharded campaign service directory
-//                         (manifest + work leases; see fuzz/service.h);
-//                         --coordinate keeps it resident as the adaptive
-//                         straggler-re-carving coordinator (fuzz/coordinator.h)
+//                         (manifest + work leases; see fuzz/service.h)
 //   swarmfuzz shard     - run one shard worker against a service directory
 //                         (--chaos=... injects deterministic failures)
 //   swarmfuzz merge     - merge shard streams into the campaign report;
-//                         --allow-partial records gaps in holes.json
-//   swarmfuzz resume-holes - turn holes.json back into claimable leases
+//                         --allow-partial names the missing missions
 //
 // Common options: --drones, --seed, --distance, --controller
 // (vasarhelyi|olfati|reynolds), --dt, --gps-rate, --nav-filter.
@@ -42,7 +39,6 @@ int cmd_replay(const util::Options& options);
 int cmd_serve(const util::Options& options);
 int cmd_shard(const util::Options& options);
 int cmd_merge(const util::Options& options);
-int cmd_resume_holes(const util::Options& options);
 
 // Prints usage to stdout; returns the exit code to use.
 int print_usage();

@@ -9,9 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <stdexcept>
-#include <tuple>
 
 #include "util/logging.h"
 #include "util/worker_pool.h"
@@ -438,10 +436,19 @@ void validate_checkpoint_record(const TelemetryRecord& record,
       " (different campaign?)");
 }
 
-namespace {
+MissionOutcome outcome_from_record(const TelemetryRecord& record) {
+  return MissionOutcome{.mission_index = record.mission_index,
+                        .completed = true,
+                        .mission_seed = record.mission_seed,
+                        .wall_time_s = record.wall_time_s,
+                        .result = record.result,
+                        .fault = record.fault,
+                        .fault_detail = record.fault_detail,
+                        .fault_attempts = record.fault_attempts};
+}
 
-TelemetryRecord make_record(const CampaignConfig& config,
-                            const MissionOutcome& outcome) {
+TelemetryRecord record_from_outcome(const CampaignConfig& config,
+                                    const MissionOutcome& outcome) {
   TelemetryRecord record;
   record.mission_index = outcome.mission_index;
   record.fuzzer = std::string{fuzzer_kind_name(config.kind)};
@@ -454,7 +461,37 @@ TelemetryRecord make_record(const CampaignConfig& config,
   return record;
 }
 
-}  // namespace
+QuarantineLog::QuarantineLog(const CampaignConfig& config, std::string path)
+    : path_(std::move(path)),
+      fuzzer_(fuzzer_kind_name(config.kind)),
+      config_hash_(campaign_config_hash(config)) {
+  if (path_.empty()) return;
+  for (const QuarantineRecord& record : load_quarantine(path_)) {
+    recorded_.emplace(record.config_hash, record.mission_seed,
+                      record.mission_index);
+  }
+}
+
+void QuarantineLog::add(const MissionOutcome& outcome) {
+  if (path_.empty() || outcome.fault == sim::FaultKind::kNone ||
+      !recorded_.emplace(config_hash_, outcome.mission_seed, outcome.mission_index)
+           .second) {
+    return;
+  }
+  QuarantineRecord record;
+  record.mission_index = outcome.mission_index;
+  record.fuzzer = fuzzer_;
+  record.mission_seed = outcome.mission_seed;
+  record.config_hash = config_hash_;
+  record.fault = outcome.fault;
+  record.detail = outcome.fault_detail;
+  record.attempts = outcome.fault_attempts;
+  try {
+    append_jsonl_line(path_, to_jsonl(record));
+  } catch (const std::exception& e) {
+    SWARMFUZZ_ERROR("campaign: cannot write quarantine record: {}", e.what());
+  }
+}
 
 ThreadBudget split_thread_budget(int workers, int requested_eval,
                                  int requested_sim, int hardware) noexcept {
@@ -616,13 +653,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       MissionOutcome& outcome =
           result.outcomes[static_cast<size_t>(record.mission_index)];
       if (outcome.completed) continue;  // duplicate line; keep the first
-      outcome.completed = true;
-      outcome.mission_seed = record.mission_seed;
-      outcome.wall_time_s = record.wall_time_s;
-      outcome.result = record.result;
-      outcome.fault = record.fault;
-      outcome.fault_detail = record.fault_detail;
-      outcome.fault_attempts = record.fault_attempts;
+      outcome = outcome_from_record(record);
       checkpoint->record(record);
       ++resumed;
     }
@@ -652,20 +683,11 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     if (o.completed && o.fault != sim::FaultKind::kNone) faulted.fetch_add(1);
   }
   std::mutex observer_mutex;  // serializes checkpoint order + progress callbacks
-  const std::string config_hash = campaign_config_hash(config);
 
   // Quarantine is append-only across resumes: a mission whose checkpoint
-  // line was lost (torn tail, deleted file) re-runs and would re-quarantine.
-  // Seeding the dedup set from the existing file keys every append on
-  // (config hash, seed, index), so replayed faults never duplicate records.
-  std::set<std::tuple<std::string, std::uint64_t, int>> quarantined;
-  if (!config.quarantine_path.empty()) {
-    for (const QuarantineRecord& record :
-         load_quarantine(config.quarantine_path)) {
-      quarantined.emplace(record.config_hash, record.mission_seed,
-                          record.mission_index);
-    }
-  }
+  // line was lost (torn tail, deleted file) re-runs and would re-quarantine
+  // without the log's dedup against the existing file.
+  QuarantineLog quarantine(config, config.quarantine_path);
 
   // The mission workers are the lanes of one pool, claiming missions in
   // index order. One runner (and thus one fuzzer) per lane: fuzzers are
@@ -694,31 +716,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
       {
         const std::lock_guard<std::mutex> lock(observer_mutex);
-        const TelemetryRecord record = make_record(config, outcome);
+        const TelemetryRecord record = record_from_outcome(config, outcome);
         if (checkpoint) checkpoint->record(record);
         if (config.telemetry) config.telemetry->record(record);
-        if (outcome.fault != sim::FaultKind::kNone &&
-            !config.quarantine_path.empty() &&
-            quarantined
-                .emplace(config_hash, outcome.mission_seed, index)
-                .second) {
-          QuarantineRecord quarantine;
-          quarantine.mission_index = index;
-          quarantine.fuzzer = std::string{fuzzer_kind_name(config.kind)};
-          quarantine.mission_seed = outcome.mission_seed;
-          quarantine.config_hash = config_hash;
-          quarantine.fault = outcome.fault;
-          quarantine.detail = outcome.fault_detail;
-          quarantine.attempts = outcome.fault_attempts;
-          try {
-            append_jsonl_line(config.quarantine_path, to_jsonl(quarantine));
-          } catch (const std::exception& e) {
-            // Quarantine is observability; losing a record must not lose
-            // the campaign.
-            SWARMFUZZ_ERROR("campaign: cannot write quarantine record: {}",
-                            e.what());
-          }
-        }
+        quarantine.add(outcome);
         if (config.on_progress) {
           CampaignProgress progress;
           progress.completed = done;

@@ -22,8 +22,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "fuzz/fuzzer.h"
@@ -245,6 +247,35 @@ struct CampaignResult {
 // fabricate results from a foreign file.
 void validate_checkpoint_record(const TelemetryRecord& record,
                                 const CampaignConfig& config);
+
+// The two directions between a mission outcome and its checkpoint/shard
+// record. outcome_from_record marks the outcome completed; it is the one
+// conversion behind run_campaign's resume, merge_shards and `merge
+// --golden`. record_from_outcome leaves `shard` at -1.
+[[nodiscard]] MissionOutcome outcome_from_record(const TelemetryRecord& record);
+[[nodiscard]] TelemetryRecord record_from_outcome(const CampaignConfig& config,
+                                                  const MissionOutcome& outcome);
+
+// A campaign's (or one shard lease's) quarantine file. add() appends one
+// QuarantineRecord per terminally faulted mission, deduplicated against the
+// records already in the file, so a mission re-run after a resume or a
+// lease reclaim never quarantines twice. Not thread-safe.
+class QuarantineLog {
+ public:
+  // Loads the existing records of `path`; an empty path disables the log.
+  QuarantineLog(const CampaignConfig& config, std::string path);
+
+  // Appends `outcome` when it is faulted and not yet recorded. A write
+  // failure is logged, not thrown: quarantine is observability, and losing
+  // a record must not lose the campaign.
+  void add(const MissionOutcome& outcome);
+
+ private:
+  std::string path_;
+  std::string fuzzer_;
+  std::string config_hash_;
+  std::set<std::tuple<std::string, std::uint64_t, int>> recorded_;
+};
 
 using util::hardware_threads;
 using util::ThreadBudget;

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <stdexcept>
 
 #include <unistd.h>
@@ -69,58 +68,6 @@ LeaseClaimRecord lease_claim_from_json(std::string_view line) {
   return record;
 }
 
-std::string to_jsonl(const RecarveRecord& record) {
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("v");
-  json.value(record.schema_version);
-  json.key("parent");
-  json.value(record.parent);
-  json.key("subs");
-  json.begin_array();
-  for (const LeaseRange& sub : record.subs) {
-    json.begin_object();
-    json.key("id");
-    json.value(sub.lease_id);
-    json.key("begin");
-    json.value(sub.begin);
-    json.key("end");
-    json.value(sub.end);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  return frame_with_crc(json.str());
-}
-
-RecarveRecord recarve_record_from_json(std::string_view line) {
-  verify_crc_frame(line);
-  const util::JsonValue root = util::parse_json(line);
-  RecarveRecord record;
-  record.schema_version = root.at("v").as_int();
-  if (record.schema_version != 1) {
-    throw std::invalid_argument("recarve: unsupported schema version " +
-                                std::to_string(record.schema_version));
-  }
-  record.parent = root.at("parent").as_int();
-  const util::JsonValue& subs = root.at("subs");
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    const util::JsonValue& sub = subs.at(i);
-    record.subs.push_back(LeaseRange{.lease_id = sub.at("id").as_int(),
-                                     .begin = sub.at("begin").as_int(),
-                                     .end = sub.at("end").as_int()});
-  }
-  return record;
-}
-
-std::string recarve_ledger_path(const std::string& dir) {
-  return dir + "/recarve.jsonl";
-}
-
-std::string recarved_marker_path(const std::string& dir, int lease_id) {
-  return dir + "/lease-" + std::to_string(lease_id) + ".recarved";
-}
-
 namespace {
 
 std::int64_t system_now_ms() {
@@ -130,15 +77,15 @@ std::int64_t system_now_ms() {
 }
 
 // Reads a whole file through the retrier. ENOENT yields an empty result with
-// `exists` false (an absent claim/ledger is a normal state, not an error);
+// `exists` false (an absent claim is a normal state, not an error);
 // any other failure is an IoError the retrier may absorb.
 struct FileContent {
   bool exists = false;
   std::string content;
 };
 
-FileContent read_file(const std::string& path, std::string_view op) {
-  return util::io_retrier().run(op, [&]() -> FileContent {
+FileContent read_file(const std::string& path) {
+  return util::io_retrier().run("claim_read", [&]() -> FileContent {
     FileContent result;
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (file == nullptr) {
@@ -162,89 +109,6 @@ FileContent read_file(const std::string& path, std::string_view op) {
 }
 
 }  // namespace
-
-std::vector<RecarveRecord> load_recarve_ledger(const std::string& path) {
-  std::vector<RecarveRecord> records;
-  const FileContent file = read_file(path, "ledger_read");
-  if (!file.exists) return records;
-  std::size_t start = 0;
-  const std::string& content = file.content;
-  while (start < content.size()) {
-    std::size_t end = content.find('\n', start);
-    const bool complete_line = end != std::string::npos;
-    if (!complete_line) end = content.size();
-    const std::string_view line{content.data() + start, end - start};
-    start = end + 1;
-    if (line.empty()) continue;
-    try {
-      records.push_back(recarve_record_from_json(line));
-    } catch (const std::exception& e) {
-      // Same torn-tail contract as telemetry streams: an unterminated final
-      // line is a coordinator that died mid-append (its orphaned marker is
-      // healed later); a corrupt complete line is real corruption.
-      if (complete_line) {
-        throw std::runtime_error("recarve: corrupt ledger record in " + path +
-                                 ": " + e.what());
-      }
-      SWARMFUZZ_WARN("recarve: skipping torn final record in {} ({} bytes)",
-                     path, line.size());
-    }
-  }
-  return records;
-}
-
-LeaseTable load_lease_table(const std::string& dir, int num_missions,
-                            int num_leases) {
-  LeaseTable table;
-  table.active = carve_leases(num_missions, num_leases);
-  table.next_lease_id = static_cast<int>(table.active.size());
-  const int base_count = table.next_lease_id;  // ids below this are the carve's
-  std::map<int, std::size_t> index_of;  // lease id -> index into active
-  for (std::size_t i = 0; i < table.active.size(); ++i) {
-    index_of[table.active[i].lease_id] = i;
-  }
-  for (const RecarveRecord& record :
-       load_recarve_ledger(recarve_ledger_path(dir))) {
-    if (record.parent >= 0) {
-      const auto it = index_of.find(record.parent);
-      if (it == index_of.end()) {
-        // Keep-first: the parent was already retired (the heal path may
-        // re-append an entry it could not know had landed).
-        continue;
-      }
-      table.retired.push_back(table.active[it->second]);
-      table.active.erase(table.active.begin() +
-                         static_cast<std::ptrdiff_t>(it->second));
-      index_of.clear();
-      for (std::size_t i = 0; i < table.active.size(); ++i) {
-        index_of[table.active[i].lease_id] = i;
-      }
-    }
-    for (const LeaseRange& sub : record.subs) {
-      if (sub.lease_id < base_count || index_of.count(sub.lease_id) != 0) {
-        throw std::runtime_error("recarve: sub-lease id " +
-                                 std::to_string(sub.lease_id) +
-                                 " collides with an existing lease in " + dir);
-      }
-      for (const LeaseRange& retired : table.retired) {
-        if (retired.lease_id == sub.lease_id) {
-          throw std::runtime_error("recarve: sub-lease id " +
-                                   std::to_string(sub.lease_id) +
-                                   " reuses a retired id in " + dir);
-        }
-      }
-      if (sub.begin < 0 || sub.begin >= sub.end || sub.end > num_missions) {
-        throw std::runtime_error("recarve: sub-lease " +
-                                 std::to_string(sub.lease_id) +
-                                 " has invalid range in " + dir);
-      }
-      index_of[sub.lease_id] = table.active.size();
-      table.active.push_back(sub);
-      table.next_lease_id = std::max(table.next_lease_id, sub.lease_id + 1);
-    }
-  }
-  return table;
-}
 
 LeaseStore::LeaseStore(std::string dir, std::int64_t ttl_ms, std::string owner,
                        Clock clock)
@@ -273,11 +137,6 @@ bool LeaseStore::is_done(int lease_id) const {
   return std::filesystem::exists(done_path(lease_id), ec);
 }
 
-bool LeaseStore::is_retired(int lease_id) const {
-  std::error_code ec;
-  return std::filesystem::exists(recarved_marker_path(dir_, lease_id), ec);
-}
-
 void LeaseStore::mark_done(int lease_id) {
   // Atomic write-then-rename: the marker either exists complete or not at
   // all, so a crash between the final mission record and this call merely
@@ -297,7 +156,7 @@ void LeaseStore::append_claim(const std::string& path,
 
 LeaseClaimRecord LeaseStore::latest_claim(const std::string& path) const {
   LeaseClaimRecord latest;  // lease_id = -1: no valid record
-  const FileContent file = read_file(path, "claim_read");
+  const FileContent file = read_file(path);
   if (!file.exists) return latest;
   const std::string& content = file.content;
   std::size_t start = 0;
@@ -324,7 +183,6 @@ LeaseClaimRecord LeaseStore::peek_claim(int lease_id) const {
 
 bool LeaseStore::try_claim(int lease_id) {
   if (is_done(lease_id)) return false;
-  if (is_retired(lease_id)) return false;  // re-carved: successors own the tail
   const std::string path = claim_path(lease_id);
   // Bounded retries: each loop iteration either wins the exclusive create,
   // rejects, or loses a reclaim race to a process that just claimed — which
@@ -370,21 +228,9 @@ bool LeaseStore::try_claim(int lease_id) {
     // died before its first line landed). Move it aside; the atomic rename
     // picks a single winner among racing reclaimers, and the loser's next
     // iteration observes whatever the winner wrote.
-    const std::string dead = path + ".dead." + std::to_string(now_ms()) + "." +
-                             std::to_string(reclaim_nonce_++);
-    const bool renamed = util::io_retrier().run("claim_reclaim", [&]() -> bool {
-      std::error_code ec;
-      std::filesystem::rename(path, dead, ec);
-      if (!ec) return true;
-      std::error_code exists_ec;
-      if (!std::filesystem::exists(path, exists_ec)) return false;
-      throw util::IoError("lease: cannot reclaim " + path + ": " + ec.message(),
-                          ec.value());
-    });
-    if (!renamed) continue;  // winner re-creating
-    SWARMFUZZ_WARN("lease {}: reclaiming expired claim of '{}' (moved to {})",
-                   lease_id, latest.lease_id >= 0 ? latest.owner : "<torn>",
-                   dead);
+    if (!fence_claim(lease_id)) continue;  // winner re-creating
+    SWARMFUZZ_WARN("lease {}: reclaiming expired claim of '{}'", lease_id,
+                   latest.lease_id >= 0 ? latest.owner : "<torn>");
   }
   return false;
 }

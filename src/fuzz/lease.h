@@ -1,8 +1,8 @@
 // Durable work leases for sharded (multi-process) campaigns.
 //
-// A coordinator carves the campaign's mission indices into contiguous
-// ranges — the leases — and shard workers claim them through files in a
-// shared service directory. The protocol is designed so that killing any
+// `serve` carves the campaign's mission indices into contiguous ranges —
+// the leases — and shard workers claim them through files in a shared
+// service directory. The protocol is designed so that killing any
 // worker at any instruction (including SIGKILL mid-write) loses no missions
 // and duplicates none in the merged report:
 //
@@ -25,27 +25,6 @@
 // file, so reclamation never discards work: the per-lease shard telemetry
 // file (shard_merge.h) doubles as the sub-range checkpoint the new owner
 // resumes from.
-//
-// Adaptive re-carving (coordinator.h) extends the carve with a durable
-// ledger so a straggler's unfinished tail can be split into fresh
-// sub-leases without breaking any of the above:
-//
-//   lease-<k>.recarved   Exclusive-create retirement marker: lease <k> must
-//                        never be (re)claimed again. Created first, so a
-//                        coordinator crash mid-re-carve can only leave a
-//                        marker without ledger entry — healed by a later
-//                        coordinator pass, never by double-claiming.
-//   recarve.jsonl        Append-only CRC-framed ledger of RecarveRecords.
-//                        Each entry retires its parent lease and declares
-//                        the sub-leases (fresh, never-reused ids) covering
-//                        the parent's unfinished tail. load_lease_table()
-//                        folds base carve + ledger into the live lease set.
-//
-// A retired lease's already-recorded prefix stays in its shard file and
-// merges normally; if the straggler revives and appends more records they
-// are keep-first duplicates of the sub-lease owners' identical outcomes
-// (mission results depend only on (config, seed, index)), so the
-// bit-identical merge guarantee survives re-carving.
 //
 // Time is injectable (milliseconds since an arbitrary epoch) so expiry and
 // reclamation are unit-testable without sleeping through real TTLs.
@@ -86,43 +65,6 @@ struct LeaseClaimRecord {
 [[nodiscard]] std::string to_jsonl(const LeaseClaimRecord& record);
 [[nodiscard]] LeaseClaimRecord lease_claim_from_json(std::string_view line);
 
-// One CRC-framed ledger entry: lease `parent` is retired and replaced by
-// `subs` (fresh sub-leases covering its unfinished tail). parent == -1 is
-// the hole-recovery form (resume_holes): no lease is retired, the subs
-// cover mission ranges that lost their records. Empty `subs` is legal —
-// a parent whose range was fully recorded is retired with no successor.
-struct RecarveRecord {
-  int schema_version = 1;
-  int parent = -1;
-  std::vector<LeaseRange> subs;
-};
-
-[[nodiscard]] std::string to_jsonl(const RecarveRecord& record);
-[[nodiscard]] RecarveRecord recarve_record_from_json(std::string_view line);
-
-[[nodiscard]] std::string recarve_ledger_path(const std::string& dir);
-[[nodiscard]] std::string recarved_marker_path(const std::string& dir,
-                                               int lease_id);
-
-// Loads the ledger records in order; same torn-tail tolerance as telemetry
-// streams (a torn final line is a coordinator that died mid-append — its
-// retirement marker without entry is healed by the next coordinator pass).
-[[nodiscard]] std::vector<RecarveRecord> load_recarve_ledger(
-    const std::string& path);
-
-// The live lease set: base carve folded with the recarve ledger.
-struct LeaseTable {
-  std::vector<LeaseRange> active;   // claimable (base minus retired, plus subs)
-  std::vector<LeaseRange> retired;  // recarved parents (never claimable again)
-  int next_lease_id = 0;            // first id no lease has ever used
-};
-
-// Base carve + ledger -> live leases. Duplicate retirements of one parent
-// are keep-first (the heal path may re-append); a sub-lease id collision or
-// an invalid range throws — that is ledger corruption, not a race.
-[[nodiscard]] LeaseTable load_lease_table(const std::string& dir,
-                                          int num_missions, int num_leases);
-
 class LeaseStore {
  public:
   // Millisecond clock; the default reads std::chrono::system_clock. Tests
@@ -154,19 +96,14 @@ class LeaseStore {
   void mark_done(int lease_id);
   [[nodiscard]] bool is_done(int lease_id) const;
 
-  // True when the lease's retirement marker exists (its tail was re-carved
-  // into sub-leases); try_claim refuses retired leases unconditionally.
-  [[nodiscard]] bool is_retired(int lease_id) const;
-
   // Read-only probe of the claim file's latest valid record (lease_id < 0:
-  // no valid record). For coordinators and status reports; never writes.
+  // no valid record). For status reports; never writes.
   [[nodiscard]] LeaseClaimRecord peek_claim(int lease_id) const;
 
-  // Forcibly fences whoever holds the lease by renaming the claim file
-  // aside (the same mechanism expiry reclamation uses): the holder's next
-  // renew() returns false and it abandons the range. Returns whether a
-  // claim file existed to fence. The coordinator calls this after retiring
-  // a straggler so its in-flight mission result is dropped, not recorded.
+  // Fences whoever holds the lease by renaming the claim file aside to
+  // `lease-<k>.claim.dead.*`: the holder's next renew() returns false
+  // and it abandons the range. Returns whether a claim file existed to
+  // fence. try_claim's expiry reclaim is this call.
   bool fence_claim(int lease_id);
 
   // Test hook: runs before every claim-file append (initial claim and each

@@ -158,8 +158,6 @@ std::string to_json(const CampaignResult& result) {
   json.value(std::to_string(io.exhausted));
   json.key("permanent");
   json.value(std::to_string(io.permanent));
-  json.key("quarantined_ops");
-  json.value(io.quarantined_ops);
   json.end_object();
 
   json.key("missions");

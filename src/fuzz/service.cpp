@@ -9,7 +9,6 @@
 #include <map>
 #include <set>
 #include <stdexcept>
-#include <tuple>
 
 #include "util/fileio.h"
 #include "util/json.h"
@@ -19,16 +18,14 @@
 namespace swarmfuzz::fuzz {
 namespace {
 
-// Reads a small durable file (manifest, holes) through the retrier.
-// `missing_hint` is appended to the ENOENT message — the one failure with an
-// operator remedy rather than a retry schedule.
-std::string read_small_file(const std::string& path, std::string_view op,
-                            const char* missing_hint) {
-  return util::io_retrier().run(op, [&]() -> std::string {
+// Reads the manifest file through the retrier. A missing manifest — the one
+// failure with an operator remedy rather than a retry schedule — names it.
+std::string read_manifest_file(const std::string& path) {
+  return util::io_retrier().run("manifest_read", [&]() -> std::string {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (file == nullptr) {
       std::string message = "service: cannot open " + path;
-      if (errno == ENOENT) message += missing_hint;
+      if (errno == ENOENT) message += " (run `swarmfuzz serve` first)";
       throw util::IoError(message, errno);
     }
     std::string content;
@@ -105,8 +102,7 @@ void write_manifest(const std::string& dir, const ServiceManifest& manifest) {
 
 ServiceManifest load_manifest(const std::string& dir) {
   const std::string path = manifest_path(dir);
-  const std::string content = read_small_file(
-      path, "manifest_read", " (run `swarmfuzz serve` first)");
+  const std::string content = read_manifest_file(path);
   try {
     return service_manifest_from_json(content);
   } catch (const std::exception& e) {
@@ -116,34 +112,18 @@ ServiceManifest load_manifest(const std::string& dir) {
 }
 
 bool all_leases_done(const std::string& dir, int num_leases) {
+  const LeaseStore store(dir, /*ttl_ms=*/1, "done-probe");
   for (int k = 0; k < num_leases; ++k) {
-    std::error_code ec;
-    if (!std::filesystem::exists(
-            dir + "/lease-" + std::to_string(k) + ".done", ec)) {
-      return false;
-    }
+    if (!store.is_done(k)) return false;
   }
   return true;
 }
 
-bool service_complete(const std::string& dir, int num_missions,
-                      int num_leases) {
-  const LeaseTable table = load_lease_table(dir, num_missions, num_leases);
-  for (const LeaseRange& lease : table.active) {
-    std::error_code ec;
-    if (!std::filesystem::exists(
-            dir + "/lease-" + std::to_string(lease.lease_id) + ".done", ec)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool wait_for_service(const std::string& dir, int num_missions, int num_leases,
+bool wait_for_service(const std::string& dir, int num_leases,
                       std::int64_t timeout_ms, std::int64_t poll_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!service_complete(dir, num_missions, num_leases)) {
+  while (!all_leases_done(dir, num_leases)) {
     if (timeout_ms > 0 && std::chrono::steady_clock::now() >= deadline) {
       return false;
     }
@@ -151,6 +131,68 @@ bool wait_for_service(const std::string& dir, int num_missions, int num_leases,
         std::chrono::milliseconds(std::max<std::int64_t>(poll_ms, 1)));
   }
   return true;
+}
+
+int recorded_prefix(const std::string& dir, const LeaseRange& lease) {
+  std::set<int> indices;
+  try {
+    for (const TelemetryRecord& record :
+         load_telemetry(shard_telemetry_path(dir, lease.lease_id))) {
+      indices.insert(record.mission_index);
+    }
+  } catch (const std::exception&) {
+    // A corrupt shard file is the worker's problem to surface; for a
+    // status report it simply means no resumable prefix.
+    return 0;
+  }
+  int n = 0;
+  while (n < lease.size() && indices.count(lease.begin + n) != 0) ++n;
+  return n;
+}
+
+std::vector<LeaseHealth> probe_lease_health(const std::string& dir,
+                                            const std::vector<LeaseRange>& leases,
+                                            std::int64_t ttl_ms,
+                                            std::int64_t now_ms) {
+  const LeaseStore store(dir, ttl_ms, "health-probe", [now_ms] { return now_ms; });
+  std::vector<LeaseHealth> health;
+  health.reserve(leases.size());
+  for (const LeaseRange& lease : leases) {
+    LeaseHealth h;
+    h.range = lease;
+    h.done = store.is_done(lease.lease_id);
+    h.recorded = h.done ? lease.size() : recorded_prefix(dir, lease);
+    const LeaseClaimRecord claim = store.peek_claim(lease.lease_id);
+    if (claim.lease_id >= 0) {
+      h.claimed = true;
+      h.owner = claim.owner;
+      h.expired = claim.expires_at_ms <= now_ms;
+      h.last_renew_age_ms = now_ms - (claim.expires_at_ms - ttl_ms);
+    }
+    health.push_back(std::move(h));
+  }
+  return health;
+}
+
+std::string describe_incomplete_leases(const std::vector<LeaseHealth>& health) {
+  std::string report;
+  char line[256];
+  for (const LeaseHealth& h : health) {
+    if (h.done) continue;
+    std::string state = "unclaimed";
+    if (h.claimed) {
+      std::snprintf(line, sizeof line, "%s claim of '%s' (last heartbeat %.1fs ago)",
+                    h.expired ? "expired" : "live", h.owner.c_str(),
+                    static_cast<double>(h.last_renew_age_ms) / 1000.0);
+      state = line;
+    }
+    std::snprintf(line, sizeof line,
+                  "  lease %-3d missions %d..%d: %d/%d recorded, %s\n",
+                  h.range.lease_id, h.range.begin, h.range.end - 1, h.recorded,
+                  h.range.size(), state.c_str());
+    report += line;
+  }
+  return report;
 }
 
 ChaosPlan parse_chaos_plan(std::string_view spec) {
@@ -172,15 +214,13 @@ ChaosPlan parse_chaos_plan(std::string_view spec) {
     ChaosAction action;
     if (mode == "kill") {
       action.kind = ChaosAction::Kind::kKill;
-    } else if (mode == "hang") {
-      action.kind = ChaosAction::Kind::kHang;
     } else if (mode == "torn-write") {
       action.kind = ChaosAction::Kind::kTornWrite;
     } else if (mode == "eio") {
       action.kind = ChaosAction::Kind::kEio;
     } else {
       throw fail("unknown chaos mode '" + mode +
-                 "' (kill|hang|torn-write|eio)");
+                 "' (kill|torn-write|eio)");
     }
     try {
       std::string rest = item.substr(at + 1);
@@ -282,21 +322,6 @@ void LeaseHeartbeat::loop() {
 
 namespace {
 
-TelemetryRecord shard_record(const CampaignConfig& config,
-                             const MissionOutcome& outcome, int lease_id) {
-  TelemetryRecord record;
-  record.mission_index = outcome.mission_index;
-  record.fuzzer = std::string{fuzzer_kind_name(config.kind)};
-  record.mission_seed = outcome.mission_seed;
-  record.wall_time_s = outcome.wall_time_s;
-  record.shard = lease_id;
-  record.result = outcome.result;
-  record.fault = outcome.fault;
-  record.fault_detail = outcome.fault_detail;
-  record.fault_attempts = outcome.fault_attempts;
-  return record;
-}
-
 // Mutable per-process chaos state: which plan entries have fired, and how
 // many EIO injections each mission still owes.
 struct ChaosState {
@@ -310,7 +335,7 @@ struct ChaosState {
     }
   }
 
-  // Pops the first un-fired process-fatal/hang action for `index`.
+  // Pops the first un-fired process-fatal action for `index`.
   [[nodiscard]] const ChaosAction* take(ChaosAction::Kind kind, int index) {
     for (std::size_t i = 0; i < pending.size(); ++i) {
       if (pending[i].kind == kind && pending[i].mission_index == index) {
@@ -344,20 +369,12 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
   if (!chaos_kill) {
     chaos_kill = [] { std::raise(SIGKILL); };
   }
-  std::function<bool(std::int64_t)> chaos_hang_wait = config.chaos_hang_wait;
-  if (!chaos_hang_wait) {
-    chaos_hang_wait = [](std::int64_t ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-      return false;
-    };
-  }
   ChaosState chaos(config.chaos);
 
   // Shard processes do not split the hardware the way in-process campaign
   // workers do: each process is its own "worker", so auto eval threads
   // resolve to the whole machine. eval_threads never changes outcomes.
   const FuzzerConfig worker_fuzzer = worker_fuzzer_config(config.campaign, 1);
-  const std::string config_hash = campaign_config_hash(config.campaign);
 
   ShardWorkerStats stats;
   MissionRunner runner(config.campaign, worker_fuzzer);
@@ -380,13 +397,7 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
       }
       recorded.insert(record.mission_index);
     }
-    // Quarantine dedup across reclaims, keyed like run_campaign's.
-    const std::string quarantine_path = shard_path + ".quarantine";
-    std::set<std::tuple<std::string, std::uint64_t, int>> quarantined;
-    for (const QuarantineRecord& record : load_quarantine(quarantine_path)) {
-      quarantined.emplace(record.config_hash, record.mission_seed,
-                          record.mission_index);
-    }
+    QuarantineLog quarantine(config.campaign, shard_path + ".quarantine");
 
     LeaseHeartbeat heartbeat(store, lease.lease_id);
     for (int index = lease.begin; index < lease.end; ++index) {
@@ -398,20 +409,6 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
         ++stats.missions_resumed;
         continue;
       }
-      if (chaos.take(ChaosAction::Kind::kHang, index) != nullptr) {
-        // The straggler the coordinator exists for: the mission loop stalls
-        // while the heartbeat keeps the claim fresh. Only a re-carve (which
-        // fences us) — or the injected release in tests — gets us out.
-        SWARMFUZZ_WARN("shard [{}]: chaos hang before mission {}",
-                       config.owner, index);
-        while (!heartbeat.fenced()) {
-          if (chaos_hang_wait(50)) break;
-        }
-        if (heartbeat.fenced()) {
-          ++stats.leases_abandoned;
-          return;
-        }
-      }
       const MissionOutcome outcome = runner.run(index);
       if (heartbeat.fenced()) {
         // Reclaimed mid-mission: the successor will rerun this index and
@@ -420,8 +417,9 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
         ++stats.leases_abandoned;
         return;
       }
-      const std::string line =
-          to_jsonl(shard_record(config.campaign, outcome, lease.lease_id));
+      TelemetryRecord record = record_from_outcome(config.campaign, outcome);
+      record.shard = lease.lease_id;
+      const std::string line = to_jsonl(record);
       if (chaos.take(ChaosAction::Kind::kKill, index) != nullptr) {
         SWARMFUZZ_WARN("shard [{}]: chaos kill before recording mission {}",
                        config.owner, index);
@@ -446,6 +444,8 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
         if (const auto it = chaos.eio_remaining.find(index);
             it != chaos.eio_remaining.end() && it->second > 0) {
           --it->second;
+          SWARMFUZZ_WARN("shard [{}]: chaos injected EIO on mission {}",
+                         config.owner, index);
           throw util::IoError("chaos: injected EIO on shard append for mission " +
                                   std::to_string(index),
                               EIO);
@@ -453,22 +453,7 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
         append_jsonl_line(shard_path, line);
       });
       ++stats.missions_run;
-      if (outcome.fault != sim::FaultKind::kNone &&
-          quarantined.emplace(config_hash, outcome.mission_seed, index).second) {
-        QuarantineRecord quarantine;
-        quarantine.mission_index = index;
-        quarantine.fuzzer = std::string{fuzzer_kind_name(config.campaign.kind)};
-        quarantine.mission_seed = outcome.mission_seed;
-        quarantine.config_hash = config_hash;
-        quarantine.fault = outcome.fault;
-        quarantine.detail = outcome.fault_detail;
-        quarantine.attempts = outcome.fault_attempts;
-        try {
-          append_jsonl_line(quarantine_path, to_jsonl(quarantine));
-        } catch (const std::exception& e) {
-          SWARMFUZZ_ERROR("shard: cannot write quarantine record: {}", e.what());
-        }
-      }
+      quarantine.add(outcome);
     }
     if (heartbeat.fenced()) {
       ++stats.leases_abandoned;
@@ -479,21 +464,17 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
                    lease.lease_id, lease.begin, lease.end - 1);
   };
 
-  // Claim until every active lease of the service is done. The lease table
-  // is reloaded every scan so a coordinator's re-carves (retired parents,
-  // fresh sub-leases) are picked up promptly. When nothing is claimable but
-  // leases remain (validly held by live peers, or retired-but-unhealed),
-  // wait out a fraction of the TTL: done markers appear, claims expire, or
-  // the coordinator finishes the re-carve.
+  // Claim until every lease of the service is done. When nothing is
+  // claimable but leases remain (validly held by live peers), wait out a
+  // fraction of the TTL: done markers appear or claims expire.
+  const std::vector<LeaseRange> leases =
+      carve_leases(config.campaign.num_missions, config.num_leases);
   while (true) {
-    const LeaseTable table = load_lease_table(
-        config.dir, config.campaign.num_missions, config.num_leases);
     bool all_done = true;
     bool claimed_any = false;
-    for (const LeaseRange& lease : table.active) {
+    for (const LeaseRange& lease : leases) {
       if (store.is_done(lease.lease_id)) continue;
       all_done = false;
-      if (store.is_retired(lease.lease_id)) continue;  // awaiting ledger heal
       if (!store.try_claim(lease.lease_id)) continue;
       claimed_any = true;
       ++stats.leases_claimed;
@@ -508,9 +489,6 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
         ++stats.io_aborts;
         ++stats.leases_abandoned;
       }
-      // Reload the table after each lease so a mid-scan re-carve cannot
-      // leave this worker iterating a stale carve.
-      break;
     }
     if (all_done) break;
     if (!claimed_any) {
@@ -518,176 +496,6 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
     }
   }
   return stats;
-}
-
-std::string to_jsonl(const HolesManifest& manifest) {
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("v");
-  json.value(manifest.schema_version);
-  json.key("config_hash");
-  json.value(manifest.config_hash);
-  json.key("missions");
-  json.value(manifest.num_missions);
-  json.key("holes");
-  json.begin_array();
-  for (const MissionHole& hole : manifest.holes) {
-    json.begin_object();
-    json.key("begin");
-    json.value(hole.begin);
-    json.key("end");
-    json.value(hole.end);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  return frame_with_crc(json.str());
-}
-
-HolesManifest holes_manifest_from_json(std::string_view line) {
-  verify_crc_frame(line);
-  const util::JsonValue root = util::parse_json(line);
-  HolesManifest manifest;
-  manifest.schema_version = root.at("v").as_int();
-  if (manifest.schema_version != 1) {
-    throw std::invalid_argument("service: unsupported holes version " +
-                                std::to_string(manifest.schema_version));
-  }
-  manifest.config_hash = root.at("config_hash").as_string();
-  manifest.num_missions = root.at("missions").as_int();
-  const util::JsonValue& holes = root.at("holes");
-  for (std::size_t i = 0; i < holes.size(); ++i) {
-    manifest.holes.push_back(MissionHole{.begin = holes.at(i).at("begin").as_int(),
-                                         .end = holes.at(i).at("end").as_int()});
-  }
-  return manifest;
-}
-
-std::string holes_path(const std::string& dir) { return dir + "/holes.json"; }
-
-void write_holes(const std::string& dir, const HolesManifest& manifest) {
-  util::write_file_atomic(holes_path(dir), to_jsonl(manifest) + "\n");
-}
-
-HolesManifest load_holes(const std::string& dir) {
-  const std::string path = holes_path(dir);
-  const std::string content = read_small_file(
-      path, "holes_read", " (run `swarmfuzz merge --allow-partial` first)");
-  try {
-    return holes_manifest_from_json(content);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("service: corrupt holes manifest at " + path +
-                             ": " + e.what());
-  }
-}
-
-namespace {
-
-// The pieces of [lease.begin, lease.end) that fall inside any hole.
-std::vector<MissionHole> hole_overlap(const LeaseRange& lease,
-                                      const std::vector<MissionHole>& holes) {
-  std::vector<MissionHole> overlap;
-  for (const MissionHole& hole : holes) {
-    const int begin = std::max(lease.begin, hole.begin);
-    const int end = std::min(lease.end, hole.end);
-    if (begin < end) overlap.push_back(MissionHole{.begin = begin, .end = end});
-  }
-  return overlap;
-}
-
-}  // namespace
-
-int resume_holes(const std::string& dir, const ServiceManifest& manifest,
-                 const HolesManifest& holes) {
-  if (holes.config_hash != manifest.config_hash) {
-    throw std::runtime_error(
-        "resume-holes: holes.json is for config " + holes.config_hash +
-        " but the service manifest says " + manifest.config_hash);
-  }
-  if (holes.num_missions != manifest.num_missions) {
-    throw std::runtime_error("resume-holes: mission count mismatch");
-  }
-  LeaseTable table =
-      load_lease_table(dir, manifest.num_missions, manifest.num_leases);
-  LeaseStore store(dir, manifest.lease_ttl_ms, "resume-holes");
-  int next_id = table.next_lease_id;
-  int created = 0;
-  std::vector<MissionHole> uncovered = holes.holes;
-
-  for (const LeaseRange& lease : table.active) {
-    const std::vector<MissionHole> overlap = hole_overlap(lease, holes.holes);
-    if (overlap.empty()) continue;
-    // Every overlapped range is covered one way or the other below.
-    for (const MissionHole& piece : overlap) {
-      for (MissionHole& hole : uncovered) {
-        if (piece.begin >= hole.begin && piece.end <= hole.end) {
-          // Mark covered by splitting; fully-covered holes become empty.
-          if (piece.begin == hole.begin) {
-            hole.begin = piece.end;
-          } else if (piece.end == hole.end) {
-            hole.end = piece.begin;
-          } else {
-            uncovered.push_back(MissionHole{.begin = piece.end, .end = hole.end});
-            hole.end = piece.begin;
-          }
-          break;
-        }
-      }
-    }
-    // Idempotency: a not-done lease that covers exactly one hole *is* that
-    // hole's recovery lease already (a previous resume-holes created it, or
-    // the base carve happens to line up) — leave it for workers to claim.
-    if (!store.is_done(lease.lease_id) && overlap.size() == 1 &&
-        overlap.front().begin == lease.begin &&
-        overlap.front().end == lease.end) {
-      continue;
-    }
-    // Retire the lease via the standard re-carve protocol and cover its
-    // hole pieces with fresh sub-leases. Done-but-holey leases (shard file
-    // lost after the marker was written) are retired too: their remaining
-    // records still merge, and the subs restore the missing coverage.
-    if (!store.is_retired(lease.lease_id)) {
-      const std::string marker = recarved_marker_path(dir, lease.lease_id);
-      util::io_retrier().run("recarve_marker", [&] {
-        std::FILE* file = std::fopen(marker.c_str(), "wbx");
-        if (file != nullptr) {
-          std::fclose(file);
-          return;
-        }
-        if (errno == EEXIST) return;
-        throw util::IoError("resume-holes: cannot create " + marker, errno);
-      });
-    }
-    RecarveRecord record;
-    record.parent = lease.lease_id;
-    for (const MissionHole& piece : overlap) {
-      record.subs.push_back(
-          LeaseRange{.lease_id = next_id++, .begin = piece.begin, .end = piece.end});
-    }
-    append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
-    store.fence_claim(lease.lease_id);
-    created += static_cast<int>(record.subs.size());
-    SWARMFUZZ_INFO("resume-holes: retired lease {} for {} hole range(s)",
-                   lease.lease_id, static_cast<int>(record.subs.size()));
-  }
-
-  // Residue: hole ranges no active lease covers (a retired lease's recorded
-  // prefix whose records were later lost). Parentless ledger entry.
-  RecarveRecord orphan;
-  orphan.parent = -1;
-  for (const MissionHole& hole : uncovered) {
-    if (hole.begin < hole.end) {
-      orphan.subs.push_back(
-          LeaseRange{.lease_id = next_id++, .begin = hole.begin, .end = hole.end});
-    }
-  }
-  if (!orphan.subs.empty()) {
-    append_jsonl_line(recarve_ledger_path(dir), to_jsonl(orphan));
-    created += static_cast<int>(orphan.subs.size());
-    SWARMFUZZ_INFO("resume-holes: {} orphaned hole range(s) re-leased",
-                   static_cast<int>(orphan.subs.size()));
-  }
-  return created;
 }
 
 }  // namespace swarmfuzz::fuzz

@@ -2,11 +2,11 @@
 //
 // Roles (one binary, three subcommands — see cli/commands.h):
 //
-//   serve   Coordinator. Builds the campaign configuration, carves its
-//           missions into durable work leases (lease.h), and writes the
-//           service manifest into a shared directory. Stateless afterwards:
-//           the directory *is* the coordination medium, so the coordinator
-//           can exit (or die) without affecting running workers.
+//   serve   Builds the campaign configuration, carves its missions into
+//           durable work leases (lease.h), and writes the service manifest
+//           into a shared directory. Stateless afterwards: the directory
+//           *is* the coordination medium, so serve can exit (or die)
+//           without affecting running workers.
 //   shard   Worker process. Loads the manifest, rebuilds the configuration,
 //           verifies its campaign_config_hash, then repeatedly claims
 //           leases and runs their missions through the standard supervisor
@@ -44,7 +44,7 @@
 
 namespace swarmfuzz::fuzz {
 
-// The coordinator's durable handoff to shard workers: everything needed to
+// serve's durable handoff to shard workers: everything needed to
 // rebuild the campaign configuration in another process, plus the lease
 // geometry. `campaign_args` holds resolved `--flag=value` strings (the CLI
 // layer renders and re-parses them); `config_hash` is the
@@ -69,23 +69,45 @@ void write_manifest(const std::string& dir, const ServiceManifest& manifest);
 // Throws std::runtime_error when the manifest is missing or malformed.
 [[nodiscard]] ServiceManifest load_manifest(const std::string& dir);
 
-// True when every lease's done marker exists. Pre-re-carve view: only the
-// base carve's leases are checked. Prefer service_complete(), which folds in
-// the recarve ledger.
+// True when every lease's done marker exists — the condition under which
+// merge_shards covers every mission index. `num_leases` is the manifest's
+// (already clamped) carve.
 [[nodiscard]] bool all_leases_done(const std::string& dir, int num_leases);
 
-// True when every *active* lease (base carve + recarve ledger, minus
-// retired) is done — the condition under which merge_shards covers every
-// mission index.
-[[nodiscard]] bool service_complete(const std::string& dir, int num_missions,
-                                    int num_leases);
-
-// Polls (every `poll_ms`) until the service completes or `timeout_ms`
+// Polls (every `poll_ms`) until every lease is done or `timeout_ms`
 // elapses; returns whether completion was reached. timeout_ms <= 0 waits
 // forever.
-[[nodiscard]] bool wait_for_service(const std::string& dir, int num_missions,
-                                    int num_leases, std::int64_t timeout_ms,
+[[nodiscard]] bool wait_for_service(const std::string& dir, int num_leases,
+                                    std::int64_t timeout_ms,
                                     std::int64_t poll_ms = 200);
+
+// What `--wait` prints on timeout instead of a bare exit code: one lease's
+// observed state, as probed from the service directory.
+struct LeaseHealth {
+  LeaseRange range;
+  bool done = false;
+  bool claimed = false;   // claim file has a valid record
+  bool expired = false;
+  std::string owner;
+  std::int64_t last_renew_age_ms = -1;  // now - (expires_at - ttl)
+  int recorded = 0;       // contiguous recorded prefix length
+};
+
+// Length of the contiguous recorded prefix of `lease`'s shard file (workers
+// record in increasing index order, so this is where a reclaimer resumes).
+// A missing or unreadable shard file counts as zero.
+[[nodiscard]] int recorded_prefix(const std::string& dir,
+                                  const LeaseRange& lease);
+
+// Probes every lease's health at `now_ms`.
+[[nodiscard]] std::vector<LeaseHealth> probe_lease_health(
+    const std::string& dir, const std::vector<LeaseRange>& leases,
+    std::int64_t ttl_ms, std::int64_t now_ms);
+
+// Human-readable report of every incomplete lease (id, range, progress,
+// owner, heartbeat age). Empty string when everything is done.
+[[nodiscard]] std::string describe_incomplete_leases(
+    const std::vector<LeaseHealth>& health);
 
 // --- Chaos harness ---------------------------------------------------------
 //
@@ -99,18 +121,15 @@ void write_manifest(const std::string& dir, const ServiceManifest& manifest);
 //   torn-write@i  append only a prefix of mission i's record (no newline),
 //                 then SIGKILL: the torn-tail crash signature heal_torn_tail
 //                 recovers from.
-//   hang@i        stall forever before running mission i while the
-//                 heartbeat keeps renewing — the true straggler only the
-//                 coordinator's re-carve rescues.
 //   eio@i[xN]     fail mission i's shard append with EIO N times (default
 //                 1) before letting it through: proves the retry layer
 //                 absorbs transient faults. Injected inside the retried
-//                 operation, so budgets and counters account for it.
+//                 operation, so the retry counters account for it.
 //
 // The process-fatal modes (kill, torn-write) take effect once per plan
 // entry; on restart the replayed shard file carries no trace of them.
 struct ChaosAction {
-  enum class Kind { kKill, kHang, kTornWrite, kEio };
+  enum class Kind { kKill, kTornWrite, kEio };
   Kind kind = Kind::kKill;
   int mission_index = -1;
   int count = 1;  // xN: eio failures to inject; ignored by other modes
@@ -140,12 +159,9 @@ struct ShardWorkerConfig {
   std::function<void(std::int64_t)> sleep_ms;
   // Chaos harness (see above). `chaos_kill` overrides the process-fatal
   // action (default: raise(SIGKILL)) so in-process tests can observe the
-  // on-disk state a real SIGKILL would leave; `chaos_hang_wait(ms)` is one
-  // bounded wait of the hang loop, returning true to release the hang
-  // (default: real sleep, never releases).
+  // on-disk state a real SIGKILL would leave.
   ChaosPlan chaos;
   std::function<void()> chaos_kill;
-  std::function<bool(std::int64_t)> chaos_hang_wait;
 };
 
 struct ShardWorkerStats {
@@ -158,12 +174,14 @@ struct ShardWorkerStats {
 
 // Runs one shard worker to completion: claims leases (reclaiming expired
 // ones), resumes each from its shard file, runs the missing missions, and
-// marks leases done. Returns when every active lease of the service is done
-// (the lease table is reloaded between leases, so re-carves by a running
-// coordinator are picked up). Mission outcomes depend only on (config,
-// base_seed, index), so any number of workers — on any schedule, with any
-// crash/reclaim/re-carve history — produce shard streams that merge
-// bit-identical to a single-process run.
+// marks leases done. Returns when every lease of the service is done. A
+// lease left unfinished by a dead worker is finished by any worker that
+// runs (or runs again) once its claim expires. Mission outcomes depend only
+// on (config, base_seed, index), so any number of workers — on any
+// schedule, with any crash/reclaim history — produce shard streams that
+// merge bit-identical to a single-process run. A mission that hangs inside
+// the simulation is bounded by the campaign's mission_timeout_s watchdog,
+// like in run_campaign.
 ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config);
 
 // Heartbeat: renews a claim every ttl/3 on a dedicated thread until
@@ -197,38 +215,5 @@ class LeaseHeartbeat {
   bool stop_ = false;
   std::atomic<bool> fenced_{false};
 };
-
-// --- Graceful partial merge: holes and resume ------------------------------
-
-// Machine-readable manifest of the mission ranges a partial merge could not
-// cover, written as `holes.json` next to the shard files so a later
-// `resume-holes` (or an external scheduler) can finish the campaign.
-struct HolesManifest {
-  int schema_version = 1;
-  std::string config_hash;  // must match the service manifest's
-  int num_missions = 0;
-  std::vector<MissionHole> holes;
-};
-
-[[nodiscard]] std::string to_jsonl(const HolesManifest& manifest);
-[[nodiscard]] HolesManifest holes_manifest_from_json(std::string_view line);
-
-[[nodiscard]] std::string holes_path(const std::string& dir);
-// Atomic write (write-temp-then-rename).
-void write_holes(const std::string& dir, const HolesManifest& manifest);
-// Throws std::runtime_error when missing or malformed.
-[[nodiscard]] HolesManifest load_holes(const std::string& dir);
-
-// Turns holes back into claimable leases: every active lease overlapping a
-// hole is retired (marker + ledger entry + claim fence — the standard
-// re-carve protocol) and replaced by sub-leases covering exactly its hole
-// intersections; hole ranges inside no active lease (a retired lease's
-// recorded prefix whose shard file was later lost) become parentless ledger
-// entries. Leases that already cover exactly one hole and are not done are
-// left alone, so re-running with the same holes.json is idempotent.
-// Returns the number of new leases created; throws when the manifest hashes
-// disagree.
-int resume_holes(const std::string& dir, const ServiceManifest& manifest,
-                 const HolesManifest& holes);
 
 }  // namespace swarmfuzz::fuzz

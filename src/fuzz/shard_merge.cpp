@@ -79,15 +79,7 @@ CampaignResult merge_shards(const CampaignConfig& config, const std::string& dir
       ++accounting.records;
       MissionOutcome& outcome =
           result.outcomes[static_cast<std::size_t>(record.mission_index)];
-      MissionOutcome loaded;
-      loaded.mission_index = record.mission_index;
-      loaded.completed = true;
-      loaded.mission_seed = record.mission_seed;
-      loaded.wall_time_s = record.wall_time_s;
-      loaded.result = record.result;
-      loaded.fault = record.fault;
-      loaded.fault_detail = record.fault_detail;
-      loaded.fault_attempts = record.fault_attempts;
+      const MissionOutcome loaded = outcome_from_record(record);
       if (outcome.completed) {
         // Keep-first duplicate (a reclaimed lease recorded the mission
         // twice) — but only if the copies agree on every deterministic

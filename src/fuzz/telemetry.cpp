@@ -38,26 +38,21 @@ std::string frame_with_crc(std::string line) {
 }
 
 void verify_crc_frame(std::string_view line) {
-  // A framed line ends in the crc member; its value runs from the last
-  // `,"crc":"` to the closing `"}` and holds no quote or backslash (a JSON
-  // string value cannot end there otherwise).
-  const std::size_t member = line.rfind(kCrcPrefix);
-  if (member == std::string_view::npos || !line.ends_with("\"}")) {
-    return;  // unframed legacy line; structural validity is the parser's job
-  }
-  const std::size_t value_begin = member + kCrcPrefix.size();
-  if (value_begin > line.size() - 2) return;  // the `"}` is the prefix's own quote
-  const std::string_view hex = line.substr(value_begin, line.size() - 2 - value_begin);
-  if (hex.find_first_of("\"\\") != std::string_view::npos) {
-    return;  // `,"crc":"` sits in an earlier member; the last one is not a crc
-  }
-  // Anything but exactly 8 lowercase hex digits is a damaged checksum.
+  // A framed line ends in the crc member: the last `,"crc":"`, then exactly
+  // 8 lowercase hex digits, then the closing `"}`. Every writer frames its
+  // records, so a line without that shape — unframed, or with a damaged
+  // checksum — is rejected like a checksum mismatch.
   const auto mismatch = [] {
     throw std::invalid_argument("telemetry: record checksum mismatch");
   };
-  if (hex.size() != kCrcHexLen) mismatch();
+  const std::size_t member = line.rfind(kCrcPrefix);
+  const std::size_t value_begin = member + kCrcPrefix.size();
+  if (member == std::string_view::npos || !line.ends_with("\"}") ||
+      line.size() != value_begin + kCrcHexLen + 2) {
+    mismatch();
+  }
   std::uint32_t expected = 0;
-  for (const char ch : hex) {
+  for (const char ch : line.substr(value_begin, kCrcHexLen)) {
     const int digit = ch >= '0' && ch <= '9'   ? ch - '0'
                       : ch >= 'a' && ch <= 'f' ? ch - 'a' + 10
                                                : -1;
@@ -204,31 +199,19 @@ FuzzResult result_from(const util::JsonValue& node) {
   result.victim_vdo = node.at("victim_vdo").as_double();
   result.iterations = node.at("iterations").as_int();
   result.simulations = node.at("simulations").as_int();
-  // Step counters arrived after schema v1 shipped; records written before
-  // then simply lack them. Default to 0 instead of bumping the version —
-  // they are performance accounting, not search state. prefix_steps_reused
-  // counts the ticks inherited from any checkpoint: clean-run prefixes
-  // and, since window-tree reuse, sibling windows' branch points.
-  const util::JsonValue* steps = node.find("sim_steps_executed");
-  result.sim_steps_executed = steps != nullptr ? steps->as_int64() : 0;
-  const util::JsonValue* reused = node.find("prefix_steps_reused");
-  result.prefix_steps_reused = reused != nullptr ? reused->as_int64() : 0;
-  // Same treatment for the attempt/no-seeds accounting and the parallel-
-  // evaluation counters (all post-v1 additions).
-  const util::JsonValue* tried = node.find("attempts_tried");
-  result.attempts_tried = tried != nullptr ? tried->as_int() : 0;
-  const util::JsonValue* no_seeds = node.find("no_seeds");
-  result.no_seeds = no_seeds != nullptr && no_seeds->as_bool();
-  const util::JsonValue* corpus_size = node.find("corpus_size");
-  result.corpus_size = corpus_size != nullptr ? corpus_size->as_int() : 0;
-  const util::JsonValue* novelty_bins = node.find("novelty_bins");
-  result.novelty_bins = novelty_bins != nullptr ? novelty_bins->as_int() : 0;
-  const util::JsonValue* admissions = node.find("corpus_admissions");
-  result.corpus_admissions = admissions != nullptr ? admissions->as_int() : 0;
-  const util::JsonValue* batches = node.find("eval_batches");
-  result.eval_batches = batches != nullptr ? batches->as_int() : 0;
-  const util::JsonValue* parallelism = node.find("eval_parallelism");
-  result.eval_parallelism = parallelism != nullptr ? parallelism->as_int() : 1;
+  result.sim_steps_executed = node.at("sim_steps_executed").as_int64();
+  result.prefix_steps_reused = node.at("prefix_steps_reused").as_int64();
+  result.attempts_tried = node.at("attempts_tried").as_int();
+  result.no_seeds = node.at("no_seeds").as_bool();
+  // Written only when the search populated a corpus (see write_result).
+  if (const util::JsonValue* corpus_size = node.find("corpus_size");
+      corpus_size != nullptr) {
+    result.corpus_size = corpus_size->as_int();
+    result.novelty_bins = node.at("novelty_bins").as_int();
+    result.corpus_admissions = node.at("corpus_admissions").as_int();
+  }
+  result.eval_batches = node.at("eval_batches").as_int();
+  result.eval_parallelism = node.at("eval_parallelism").as_int();
   result.mission_vdo = node.at("mission_vdo").as_double();
   result.clean_mission_time = node.at("clean_mission_time").as_double();
   result.plan = plan_from(node.at("plan"));
@@ -298,19 +281,8 @@ TelemetryRecord telemetry_record_from_json(std::string_view line) {
   record.result = result_from(root.at("result"));
   if (const util::JsonValue* fault = root.find("fault"); fault != nullptr) {
     record.fault = sim::fault_kind_from_name(fault->as_string());
-    if (const util::JsonValue* detail = root.find("fault_detail");
-        detail != nullptr) {
-      record.fault_detail = detail->as_string();
-    }
-    if (const util::JsonValue* attempts = root.find("fault_attempts");
-        attempts != nullptr) {
-      record.fault_attempts = attempts->as_int();
-    }
-  } else if (record.result.clean_run_failed) {
-    // Pre-fault-schema records flagged clean failures inside the result
-    // only; lift them into the taxonomy so resumed campaigns aggregate
-    // identically whichever schema wrote the checkpoint.
-    record.fault = sim::FaultKind::kCleanRunFailed;
+    record.fault_detail = root.at("fault_detail").as_string();
+    record.fault_attempts = root.at("fault_attempts").as_int();
   }
   return record;
 }

@@ -46,8 +46,7 @@ struct TelemetryRecord {
   // recorded the mission as faulted (result is then default-constructed,
   // except kCleanRunFailed which keeps the clean-run accounting). Written
   // only when != kNone, so fault-free records are byte-identical with
-  // pre-fault-schema files; on parse, records without the field derive
-  // kCleanRunFailed from result.clean_run_failed.
+  // pre-fault-schema files.
   sim::FaultKind fault = sim::FaultKind::kNone;
   std::string fault_detail;       // human-readable cause (empty when kNone)
   int fault_attempts = 0;         // fault retries consumed on this mission
@@ -58,10 +57,10 @@ struct TelemetryRecord {
 // removed. Doubles round-trip exactly.
 [[nodiscard]] std::string to_jsonl(const TelemetryRecord& record);
 
-// Parses one JSONL line. Lines without a crc member (written before framing
-// existed) are accepted; a present crc that mismatches, or is not 8
-// lowercase hex digits, throws. Throws std::invalid_argument on malformed
-// input, nesting deeper than util::parse_json accepts included.
+// Parses one JSONL line. Throws std::invalid_argument when the line is not
+// CRC-framed (see verify_crc_frame), is malformed — nesting deeper than
+// util::parse_json accepts included — or lacks a field the writer always
+// emits.
 [[nodiscard]] TelemetryRecord telemetry_record_from_json(std::string_view line);
 
 // A mission the campaign supervisor gave up on: every fault retry faulted
@@ -96,10 +95,9 @@ void append_jsonl_line(const std::string& path, std::string_view line);
 // checkpoints, quarantine, work leases). frame_with_crc splices the checksum
 // in as the line's final member — `{...}` becomes `{...,"crc":"xxxxxxxx"}`,
 // where the checksum covers the unframed line — so `line` must be a
-// single-line JSON object. verify_crc_frame validates the trailing member
-// when present (unframed legacy lines pass through) and throws
-// std::invalid_argument on mismatch, which includes a value that is not
-// exactly 8 lowercase hex digits.
+// single-line JSON object. verify_crc_frame throws std::invalid_argument
+// ("record checksum mismatch") unless the line ends in such a member whose
+// value is exactly 8 lowercase hex digits matching the payload.
 [[nodiscard]] std::string frame_with_crc(std::string line);
 void verify_crc_frame(std::string_view line);
 

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <thread>
 
-#include "util/logging.h"
 
 namespace swarmfuzz::util {
 namespace {
@@ -85,12 +84,6 @@ std::int64_t IoRetrier::backoff_ms(std::string_view op, int attempt) const {
   return std::max<std::int64_t>(1, static_cast<std::int64_t>(base * factor));
 }
 
-bool IoRetrier::is_quarantined(std::string_view op) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = exhausted_by_op_.find(op);
-  return it != exhausted_by_op_.end() && it->second >= policy_.fault_budget;
-}
-
 RetryCounters IoRetrier::counters() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
@@ -121,7 +114,6 @@ void IoRetrier::set_sleep(SleepFn sleep) {
 void IoRetrier::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   counters_ = RetryCounters{};
-  exhausted_by_op_.clear();
 }
 
 void IoRetrier::note_attempt() {
@@ -138,20 +130,8 @@ std::int64_t IoRetrier::on_failure(std::string_view op, int attempt,
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = exhausted_by_op_.find(op);
-    if (it != exhausted_by_op_.end() && it->second >= policy_.fault_budget) {
-      return -1;  // quarantined: single-shot, the caller's abort path owns it
-    }
     if (attempt >= policy_.max_attempts) {
       ++counters_.exhausted;
-      const int episodes = ++exhausted_by_op_[std::string{op}];
-      if (episodes == policy_.fault_budget) {
-        ++counters_.quarantined_ops;
-        SWARMFUZZ_WARN(
-            "retry: operation '{}' exhausted {} attempts {} times; "
-            "quarantining (no further retries)",
-            std::string{op}, policy_.max_attempts, episodes);
-      }
       return -1;
     }
     ++counters_.retries;

@@ -17,19 +17,13 @@
 //               looping on one is exactly the failure mode this layer and
 //               the lease heartbeat must avoid.
 //
-// A fault budget guards against the pathological middle ground: an
-// operation class that keeps exhausting its attempts (the "transient" error
-// is not actually transient) is quarantined after RetryPolicy::fault_budget
-// exhausted episodes; from then on it runs single-shot so the caller's own
-// abandon/abort path engages without multiplying the latency by the retry
-// schedule. Counters (attempts/retries/exhausted/...) are process-wide and
-// stamped into the campaign summary JSON so coordinator overhead is
+// Counters (attempts/retries/exhausted/permanent) are process-wide and
+// stamped into the campaign summary JSON so transport overhead is
 // observable (see serialize.cpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -64,7 +58,6 @@ struct RetryPolicy {
   double backoff_multiplier = 4.0;      // growth per further attempt
   std::int64_t max_backoff_ms = 2000;   // backoff ceiling
   double jitter = 0.5;                  // backoff scaled by [1-j, 1+j)
-  int fault_budget = 3;                 // exhausted episodes before quarantine
 };
 
 // Snapshot of the process-wide accounting.
@@ -73,7 +66,6 @@ struct RetryCounters {
   std::int64_t retries = 0;      // re-executions after a transient failure
   std::int64_t exhausted = 0;    // episodes that used every attempt and failed
   std::int64_t permanent = 0;    // failures rethrown without retrying
-  int quarantined_ops = 0;       // operation classes past their fault budget
 };
 
 class IoRetrier {
@@ -86,10 +78,9 @@ class IoRetrier {
                      SleepFn sleep = {});
 
   // Runs `fn`, retrying on transient IoError with backoff as described in
-  // the file header. Rethrows the final IoError on a permanent errno, on
-  // attempt exhaustion, or immediately when `op` is quarantined. `op` names
-  // the operation class ("shard_append", "claim_create", ...): backoff
-  // jitter, the fault budget and quarantine are all tracked per class.
+  // the file header. Rethrows the final IoError on a permanent errno or on
+  // attempt exhaustion. `op` names the operation class ("shard_append",
+  // "claim_create", ...) and seeds its backoff jitter.
   template <typename Fn>
   auto run(std::string_view op, Fn&& fn) -> decltype(fn()) {
     for (int attempt = 1;; ++attempt) {
@@ -107,7 +98,6 @@ class IoRetrier {
   // Deterministic backoff before attempt `attempt + 1` (attempt >= 1).
   [[nodiscard]] std::int64_t backoff_ms(std::string_view op, int attempt) const;
 
-  [[nodiscard]] bool is_quarantined(std::string_view op) const;
   [[nodiscard]] RetryCounters counters() const;
   [[nodiscard]] RetryPolicy policy() const;
 
@@ -116,8 +106,8 @@ class IoRetrier {
   // "deterministic" also means "reproducible for this campaign".
   void set_jitter_seed(std::uint64_t seed);
   void set_sleep(SleepFn sleep);
-  // Clears counters and quarantine state (tests share the process-wide
-  // instance and must not leak budget across cases).
+  // Clears the counters (tests share the process-wide instance and must not
+  // leak counts across cases).
   void reset();
 
  private:
@@ -132,7 +122,6 @@ class IoRetrier {
   std::uint64_t jitter_seed_;
   SleepFn sleep_;
   RetryCounters counters_;
-  std::map<std::string, int, std::less<>> exhausted_by_op_;
 };
 
 // The process-wide retrier every transport operation routes through.

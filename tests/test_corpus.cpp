@@ -202,6 +202,22 @@ TEST(Corpus, LoadThrowsOnCorruptCompleteLine) {
   std::filesystem::remove(path);
 }
 
+TEST(Corpus, LoadThrowsOnUnframedCompleteLine) {
+  // Every corpus line is CRC-framed, so a well-formed entry without its crc
+  // member is corruption, not an older format to accept unchecked.
+  const std::string path = temp_path("unframed.jsonl");
+  std::string unframed = to_jsonl(entry_with({2}, 1.0));
+  unframed.erase(unframed.rfind(",\"crc\":\""), 17);
+  ASSERT_EQ(unframed.back(), '}');
+  EXPECT_THROW((void)corpus_entry_from_json(unframed), std::invalid_argument);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << to_jsonl(entry_with({1}, 1.0)) << '\n' << unframed << '\n';
+  }
+  EXPECT_THROW((void)load_corpus(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
 TEST(Corpus, LoadThrowsOnNonFiniteWindowOrCost) {
   // A CRC-valid line whose t_start, duration or cost is null (NaN) is a
   // corrupt complete line: loading it would hand E_Fuzz a NaN window.

@@ -99,6 +99,11 @@ TEST(LeaseClaimRecord, CrcFramingRejectsTampering) {
   ASSERT_NE(pos, std::string::npos);
   line[pos + 8] = '3';
   EXPECT_THROW((void)lease_claim_from_json(line), std::invalid_argument);
+  // Dropping the crc member altogether is no way around the check.
+  std::string unframed = to_jsonl(record);
+  unframed.erase(unframed.rfind(",\"crc\":\""), 17);
+  ASSERT_EQ(unframed.back(), '}');
+  EXPECT_THROW((void)lease_claim_from_json(unframed), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,6 +234,20 @@ TEST(LeaseStore, TornRenewalFallsBackToLastValidRecord) {
   EXPECT_TRUE(bob.try_claim(0));
 }
 
+TEST(LeaseStore, UnframedClaimLineIsNotAValidClaim) {
+  const std::string dir = service_dir("unframed_claim");
+  std::int64_t now = 0;
+  // A well-formed but unframed claim naming a live owner must not hold the
+  // lease: only CRC-framed records count, so the file reads as a dead
+  // claimant's and is reclaimable at once.
+  append_jsonl_line(dir + "/lease-0.claim",
+                    R"({"v":1,"lease":0,"owner":"ghost","expires_at_ms":"99999"})");
+  LeaseStore bob(dir, 1000, "bob", [&now] { return now; });
+  EXPECT_LT(bob.peek_claim(0).lease_id, 0);
+  EXPECT_TRUE(bob.try_claim(0));
+  EXPECT_TRUE(bob.holds(0));
+}
+
 TEST(LeaseStore, TornOnlyClaimFileIsReclaimable) {
   const std::string dir = service_dir("torn_claim");
   std::int64_t now = 0;
@@ -315,157 +334,20 @@ TEST(LeaseStoreClockSkew, RacingReclaimersWithSkewedClocksHaveOneWinner) {
 }
 
 // ---------------------------------------------------------------------------
-// Recarve ledger framing and the lease table.
-
-TEST(RecarveRecord, RoundTripsThroughJsonl) {
-  RecarveRecord record;
-  record.parent = 3;
-  record.subs = {LeaseRange{.lease_id = 8, .begin = 10, .end = 14},
-                 LeaseRange{.lease_id = 9, .begin = 14, .end = 18}};
-  const RecarveRecord parsed = recarve_record_from_json(to_jsonl(record));
-  EXPECT_EQ(parsed.schema_version, 1);
-  EXPECT_EQ(parsed.parent, 3);
-  ASSERT_EQ(parsed.subs.size(), 2u);
-  EXPECT_EQ(parsed.subs[0].lease_id, 8);
-  EXPECT_EQ(parsed.subs[0].begin, 10);
-  EXPECT_EQ(parsed.subs[0].end, 14);
-  EXPECT_EQ(parsed.subs[1].lease_id, 9);
-}
-
-TEST(RecarveRecord, ParentlessAndEmptyFormsRoundTrip) {
-  RecarveRecord orphan;  // resume_holes' parentless form
-  orphan.parent = -1;
-  orphan.subs = {LeaseRange{.lease_id = 5, .begin = 2, .end = 4}};
-  EXPECT_EQ(recarve_record_from_json(to_jsonl(orphan)).parent, -1);
-
-  RecarveRecord empty;  // fully-recorded parent retired with no successor
-  empty.parent = 2;
-  const RecarveRecord parsed = recarve_record_from_json(to_jsonl(empty));
-  EXPECT_EQ(parsed.parent, 2);
-  EXPECT_TRUE(parsed.subs.empty());
-}
-
-TEST(RecarveLedger, TornFinalLineIsSkipped) {
-  const std::string dir = service_dir("ledger_torn");
-  RecarveRecord record;
-  record.parent = 0;
-  record.subs = {LeaseRange{.lease_id = 2, .begin = 3, .end = 6}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
-  {
-    // Coordinator died mid-append: an unterminated fragment follows.
-    std::FILE* file = std::fopen(recarve_ledger_path(dir).c_str(), "ab");
-    ASSERT_NE(file, nullptr);
-    const char torn[] = R"({"v":1,"parent":1,"su)";
-    std::fwrite(torn, 1, sizeof torn - 1, file);
-    std::fclose(file);
-  }
-  const auto records = load_recarve_ledger(recarve_ledger_path(dir));
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].parent, 0);
-  // A corrupt *complete* line is real corruption, not a crash signature.
-  append_jsonl_line(recarve_ledger_path(dir), "garbage, not json");
-  EXPECT_THROW((void)load_recarve_ledger(recarve_ledger_path(dir)),
-               std::runtime_error);
-}
-
-TEST(LeaseTable, BaseCarveWithoutLedger) {
-  const std::string dir = service_dir("table_base");
-  const LeaseTable table = load_lease_table(dir, 10, 4);
-  EXPECT_EQ(table.active.size(), 4u);
-  EXPECT_TRUE(table.retired.empty());
-  EXPECT_EQ(table.next_lease_id, 4);
-}
-
-TEST(LeaseTable, LedgerRetiresParentAndAddsSubs) {
-  const std::string dir = service_dir("table_recarve");
-  // Base carve of 10 over 2: lease 0 = [0,5), lease 1 = [5,10). Retire
-  // lease 1, splitting its tail [7,10) into two subs.
-  RecarveRecord record;
-  record.parent = 1;
-  record.subs = {LeaseRange{.lease_id = 2, .begin = 7, .end = 8},
-                 LeaseRange{.lease_id = 3, .begin = 8, .end = 10}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
-  const LeaseTable table = load_lease_table(dir, 10, 2);
-  ASSERT_EQ(table.active.size(), 3u);  // lease 0 plus the two subs
-  EXPECT_EQ(table.active[0].lease_id, 0);
-  EXPECT_EQ(table.active[1].lease_id, 2);
-  EXPECT_EQ(table.active[2].lease_id, 3);
-  ASSERT_EQ(table.retired.size(), 1u);
-  EXPECT_EQ(table.retired[0].lease_id, 1);
-  EXPECT_EQ(table.next_lease_id, 4);
-
-  // Sub-leases can themselves be re-carved: retire 3 into 4.
-  RecarveRecord again;
-  again.parent = 3;
-  again.subs = {LeaseRange{.lease_id = 4, .begin = 9, .end = 10}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(again));
-  const LeaseTable deeper = load_lease_table(dir, 10, 2);
-  ASSERT_EQ(deeper.active.size(), 3u);
-  EXPECT_EQ(deeper.active[2].lease_id, 4);
-  EXPECT_EQ(deeper.next_lease_id, 5);
-}
-
-TEST(LeaseTable, DuplicateRetirementIsKeepFirst) {
-  const std::string dir = service_dir("table_dup");
-  RecarveRecord first;
-  first.parent = 0;
-  first.subs = {LeaseRange{.lease_id = 2, .begin = 0, .end = 5}};
-  RecarveRecord second;  // heal pass re-appended; must be ignored
-  second.parent = 0;
-  second.subs = {LeaseRange{.lease_id = 3, .begin = 0, .end = 5}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(first));
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(second));
-  const LeaseTable table = load_lease_table(dir, 10, 2);
-  ASSERT_EQ(table.active.size(), 2u);  // lease 1 and sub 2 — not 3
-  EXPECT_EQ(table.active[0].lease_id, 1);
-  EXPECT_EQ(table.active[1].lease_id, 2);
-}
-
-TEST(LeaseTable, RejectsCorruptLedgers) {
-  {  // sub id collides with the base carve
-    const std::string dir = service_dir("table_bad_id");
-    RecarveRecord record;
-    record.parent = 0;
-    record.subs = {LeaseRange{.lease_id = 1, .begin = 0, .end = 5}};
-    append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
-    EXPECT_THROW((void)load_lease_table(dir, 10, 2), std::runtime_error);
-  }
-  {  // invalid sub range
-    const std::string dir = service_dir("table_bad_range");
-    RecarveRecord record;
-    record.parent = 0;
-    record.subs = {LeaseRange{.lease_id = 2, .begin = 6, .end = 6}};
-    append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
-    EXPECT_THROW((void)load_lease_table(dir, 10, 2), std::runtime_error);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Retirement, fencing and probes on the store.
-
-TEST(LeaseStore, RetiredLeaseIsNeverClaimable) {
-  const std::string dir = service_dir("retired");
-  std::int64_t now = 0;
-  LeaseStore store(dir, 1000, "alice", [&now] { return now; });
-  std::fclose(std::fopen(recarved_marker_path(dir, 0).c_str(), "wbx"));
-  EXPECT_TRUE(store.is_retired(0));
-  EXPECT_FALSE(store.try_claim(0));
-  now += 5000;  // not even after any amount of time
-  EXPECT_FALSE(store.try_claim(0));
-}
+// Fencing and probes on the store.
 
 TEST(LeaseStore, FenceClaimStopsTheHolder) {
   const std::string dir = service_dir("fence");
   std::int64_t now = 0;
   LeaseStore holder(dir, 1000, "holder", [&now] { return now; });
-  LeaseStore coordinator(dir, 1000, "coordinator", [&now] { return now; });
+  LeaseStore fencer(dir, 1000, "fencer", [&now] { return now; });
   ASSERT_TRUE(holder.try_claim(0));
-  EXPECT_TRUE(coordinator.fence_claim(0));
+  EXPECT_TRUE(fencer.fence_claim(0));
   EXPECT_FALSE(holder.renew(0));  // the in-flight result gets dropped
   EXPECT_FALSE(holder.holds(0));
   EXPECT_TRUE(has_dead_claim(dir, 0));
   // Fencing an unclaimed lease reports there was nothing to fence.
-  EXPECT_FALSE(coordinator.fence_claim(1));
+  EXPECT_FALSE(fencer.fence_claim(1));
 }
 
 TEST(LeaseStore, PeekClaimReadsWithoutWriting) {

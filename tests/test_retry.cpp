@@ -1,8 +1,8 @@
 // Transport retry-layer tests (DESIGN.md section 16): errno classification,
-// deterministic backoff with bounded jitter, attempt exhaustion, the
-// per-operation fault budget / quarantine, and process-wide counters. The
-// retrier under test is always a local instance (or the process-wide one
-// reset around the case), so cases cannot leak budget into each other.
+// deterministic backoff with bounded jitter, attempt exhaustion, and
+// process-wide counters. The retrier under test is always a local instance
+// (or the process-wide one reset around the case), so cases cannot leak
+// counts into each other.
 #include "util/retry.h"
 
 #include <gtest/gtest.h>
@@ -142,40 +142,14 @@ TEST(IoRetrier, BackoffIsCappedAtMax) {
   EXPECT_EQ(h.retrier.backoff_ms("op", 8), 500);
 }
 
-TEST(IoRetrier, QuarantinesOpAfterFaultBudget) {
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.fault_budget = 2;
-  Harness h(policy);
-  const auto always_fail = []() -> int { throw IoError("down", EIO); };
-
-  // Two exhausted episodes consume the budget...
-  EXPECT_THROW(h.retrier.run("op", always_fail), IoError);
-  EXPECT_THROW(h.retrier.run("op", always_fail), IoError);
-  EXPECT_TRUE(h.retrier.is_quarantined("op"));
-  EXPECT_EQ(h.retrier.counters().quarantined_ops, 1);
-
-  // ...after which the op runs single-shot: one attempt, no sleeps.
-  const std::size_t sleeps_before = h.sleeps.size();
-  const std::int64_t attempts_before = h.retrier.counters().attempts;
-  EXPECT_THROW(h.retrier.run("op", always_fail), IoError);
-  EXPECT_EQ(h.retrier.counters().attempts, attempts_before + 1);
-  EXPECT_EQ(h.sleeps.size(), sleeps_before);
-
-  // Other operation classes keep their full budget.
-  EXPECT_FALSE(h.retrier.is_quarantined("other"));
-}
-
-TEST(IoRetrier, ResetClearsCountersAndQuarantine) {
+TEST(IoRetrier, ResetClearsCounters) {
   RetryPolicy policy;
   policy.max_attempts = 1;
-  policy.fault_budget = 1;
   Harness h(policy);
   EXPECT_THROW(h.retrier.run("op", []() -> int { throw IoError("down", EIO); }),
                IoError);
-  ASSERT_TRUE(h.retrier.is_quarantined("op"));
+  ASSERT_EQ(h.retrier.counters().exhausted, 1);
   h.retrier.reset();
-  EXPECT_FALSE(h.retrier.is_quarantined("op"));
   EXPECT_EQ(h.retrier.counters().attempts, 0);
   EXPECT_EQ(h.retrier.counters().exhausted, 0);
 }

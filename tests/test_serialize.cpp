@@ -99,7 +99,7 @@ TEST(Serialize, CampaignResultReportsTransportRetryCounters) {
   EXPECT_NE(json.find("\"attempts\":\"3\""), std::string::npos);
   EXPECT_NE(json.find("\"retries\":\"2\""), std::string::npos);
   EXPECT_NE(json.find("\"exhausted\":\"0\""), std::string::npos);
-  EXPECT_NE(json.find("\"quarantined_ops\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"permanent\":\"0\""), std::string::npos);
   util::io_retrier().reset();
 }
 

@@ -98,19 +98,110 @@ TEST(ServiceManifest, LoadWithoutServeFailsWithHint) {
   }
 }
 
+TEST(ServiceManifest, UnframedManifestIsRejected) {
+  const std::string dir = service_dir("unframed_manifest");
+  ServiceManifest manifest;
+  manifest.config_hash = "feedfacecafebeef";
+  manifest.num_missions = 12;
+  manifest.num_leases = 3;
+  std::string line = to_jsonl(manifest);
+  line.erase(line.rfind(",\"crc\":\""), 17);  // drop the crc member
+  ASSERT_EQ(line.back(), '}');
+  EXPECT_THROW((void)service_manifest_from_json(line), std::invalid_argument);
+  {
+    std::FILE* file = std::fopen(manifest_path(dir).c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fputs((line + "\n").c_str(), file);
+    std::fclose(file);
+  }
+  try {
+    (void)load_manifest(dir);
+    FAIL() << "unframed manifest was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("checksum mismatch"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServiceLeases, DoneMarkersGateCompletion) {
   const std::string dir = service_dir("done_markers");
   EXPECT_FALSE(all_leases_done(dir, 2));
-  EXPECT_FALSE(service_complete(dir, 8, 2));
-  EXPECT_FALSE(wait_for_service(dir, 8, 2, /*timeout_ms=*/50, /*poll_ms=*/5));
+  EXPECT_FALSE(wait_for_service(dir, 2, /*timeout_ms=*/50, /*poll_ms=*/5));
   LeaseStore store(dir, 1000, "alice");
   store.mark_done(0);
   EXPECT_FALSE(all_leases_done(dir, 2));
-  EXPECT_FALSE(service_complete(dir, 8, 2));
   store.mark_done(1);
   EXPECT_TRUE(all_leases_done(dir, 2));
-  EXPECT_TRUE(service_complete(dir, 8, 2));
-  EXPECT_TRUE(wait_for_service(dir, 8, 2, /*timeout_ms=*/50, /*poll_ms=*/5));
+  EXPECT_TRUE(wait_for_service(dir, 2, /*timeout_ms=*/50, /*poll_ms=*/5));
+}
+
+// ---------------------------------------------------------------------------
+// Lease health: the `--wait` timeout report.
+
+// A minimal shard record for `index`, good enough for recorded_prefix (which
+// only reads mission indices, never validates against a campaign).
+void append_stub_record(const std::string& dir, int lease_id, int index) {
+  TelemetryRecord record;
+  record.mission_index = index;
+  record.fuzzer = "swarmfuzz";
+  record.shard = lease_id;
+  append_jsonl_line(shard_telemetry_path(dir, lease_id), to_jsonl(record));
+}
+
+TEST(RecordedPrefix, CountsContiguousFromBegin) {
+  const std::string dir = service_dir("prefix");
+  const LeaseRange lease{.lease_id = 0, .begin = 2, .end = 7};
+  EXPECT_EQ(recorded_prefix(dir, lease), 0);  // no shard file at all
+  append_stub_record(dir, 0, 2);
+  append_stub_record(dir, 0, 3);
+  append_stub_record(dir, 0, 5);  // gap at 4: 5 is not part of the prefix
+  EXPECT_EQ(recorded_prefix(dir, lease), 2);
+  append_stub_record(dir, 0, 4);  // gap filled, prefix now runs through 5
+  EXPECT_EQ(recorded_prefix(dir, lease), 4);
+}
+
+TEST(ProbeLeaseHealth, ReportsClaimExpiryAndHeartbeatAge) {
+  const std::string dir = service_dir("probe");
+  std::int64_t now = 0;
+  LeaseStore owner(dir, 1000, "victim", [&now] { return now; });
+  ASSERT_TRUE(owner.try_claim(0));  // expires at 1000
+  owner.mark_done(1);
+  const std::vector<LeaseRange> leases = carve_leases(6, 2);
+
+  auto health = probe_lease_health(dir, leases, 1000, /*now_ms=*/400);
+  ASSERT_EQ(health.size(), 2u);
+  EXPECT_TRUE(health[0].claimed);
+  EXPECT_FALSE(health[0].expired);
+  EXPECT_EQ(health[0].owner, "victim");
+  EXPECT_EQ(health[0].last_renew_age_ms, 400);
+  EXPECT_TRUE(health[1].done);
+  EXPECT_EQ(health[1].recorded, 3);  // done implies fully recorded
+
+  health = probe_lease_health(dir, leases, 1000, /*now_ms=*/1500);
+  EXPECT_TRUE(health[0].expired);
+  EXPECT_EQ(health[0].last_renew_age_ms, 1500);
+}
+
+TEST(DescribeIncompleteLeases, NamesOwnerAndHeartbeatAge) {
+  const std::string dir = service_dir("describe");
+  std::int64_t now = 0;
+  LeaseStore owner(dir, 1000, "victim", [&now] { return now; });
+  ASSERT_TRUE(owner.try_claim(0));
+  const std::vector<LeaseRange> leases = carve_leases(6, 2);
+  const std::string report =
+      describe_incomplete_leases(probe_lease_health(dir, leases, 1000, 1500));
+  EXPECT_NE(report.find("lease 0"), std::string::npos);
+  EXPECT_NE(report.find("victim"), std::string::npos);
+  EXPECT_NE(report.find("expired"), std::string::npos);
+  EXPECT_NE(report.find("1.5s ago"), std::string::npos);
+  EXPECT_NE(report.find("unclaimed"), std::string::npos);  // lease 1
+
+  // All done -> nothing to report.
+  owner.mark_done(0);
+  owner.mark_done(1);
+  EXPECT_TRUE(
+      describe_incomplete_leases(probe_lease_health(dir, leases, 1000, 1500))
+          .empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -320,6 +411,36 @@ TEST(ShardWorker, QuarantineIsDedupedAcrossReclaim) {
   EXPECT_EQ(load_quarantine(quarantine_path).size(), 1u);
 }
 
+TEST(ShardWorker, HungMissionIsBoundedByTheWatchdog) {
+  // A mission that hangs inside the simulation is the straggler case that
+  // needs no coordinator: the mission_timeout_s watchdog travels with the
+  // campaign config, records the mission as a timeout fault, and the worker
+  // finishes its lease.
+  CampaignConfig campaign = small_campaign(3);
+  campaign.fault_injections = parse_fault_plan("hang@1");
+  campaign.fuzzer.mission_timeout_s = 1.0;
+  campaign.max_fault_retries = 0;  // terminal on the first fault: keeps it fast
+  const std::string dir = service_dir("hung_mission");
+
+  std::int64_t now = 0;
+  ShardWorkerConfig worker;
+  worker.campaign = campaign;
+  worker.dir = dir;
+  worker.num_leases = 1;
+  worker.owner = "patient";
+  worker.clock = [&now] { return now; };
+  worker.sleep_ms = [&now](std::int64_t ms) { now += ms; };
+  const ShardWorkerStats stats = run_shard_worker(worker);
+
+  EXPECT_EQ(stats.missions_run, campaign.num_missions);
+  EXPECT_EQ(stats.leases_abandoned, 0);
+  EXPECT_TRUE(all_leases_done(dir, 1));
+  const CampaignResult merged = merge_shards(campaign, dir);
+  EXPECT_EQ(merged.outcomes[1].fault, sim::FaultKind::kTimeout);
+  EXPECT_EQ(merged.outcomes[0].fault, sim::FaultKind::kNone);
+  EXPECT_TRUE(deterministic_equal(merged, run_campaign(campaign)));
+}
+
 TEST(ShardWorker, ThreeConcurrentWorkersMergeBitIdenticalPointMass) {
   const CampaignConfig campaign = small_campaign();
   const std::string dir = service_dir("three_pointmass");
@@ -356,20 +477,20 @@ TEST(ShardWorker, ThreeConcurrentWorkersMergeBitIdenticalPointMass) {
 
 TEST(ChaosPlan, ParsesTheGrammar) {
   EXPECT_TRUE(parse_chaos_plan("").empty());
-  const ChaosPlan plan = parse_chaos_plan("kill@3,hang@1,torn-write@2,eio@4x3");
-  ASSERT_EQ(plan.actions.size(), 4u);
+  const ChaosPlan plan = parse_chaos_plan("kill@3,torn-write@2,eio@4x3");
+  ASSERT_EQ(plan.actions.size(), 3u);
   EXPECT_EQ(plan.actions[0].kind, ChaosAction::Kind::kKill);
   EXPECT_EQ(plan.actions[0].mission_index, 3);
-  EXPECT_EQ(plan.actions[1].kind, ChaosAction::Kind::kHang);
-  EXPECT_EQ(plan.actions[2].kind, ChaosAction::Kind::kTornWrite);
-  EXPECT_EQ(plan.actions[3].kind, ChaosAction::Kind::kEio);
-  EXPECT_EQ(plan.actions[3].mission_index, 4);
-  EXPECT_EQ(plan.actions[3].count, 3);
+  EXPECT_EQ(plan.actions[1].kind, ChaosAction::Kind::kTornWrite);
+  EXPECT_EQ(plan.actions[2].kind, ChaosAction::Kind::kEio);
+  EXPECT_EQ(plan.actions[2].mission_index, 4);
+  EXPECT_EQ(plan.actions[2].count, 3);
 }
 
 TEST(ChaosPlan, RejectsMalformedSpecs) {
   EXPECT_THROW((void)parse_chaos_plan("kill"), std::invalid_argument);
   EXPECT_THROW((void)parse_chaos_plan("explode@1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_chaos_plan("hang@1"), std::invalid_argument);
   EXPECT_THROW((void)parse_chaos_plan("kill@x"), std::invalid_argument);
   EXPECT_THROW((void)parse_chaos_plan("eio@1x0"), std::invalid_argument);
   EXPECT_THROW((void)parse_chaos_plan("kill@-2"), std::invalid_argument);
@@ -457,65 +578,6 @@ TEST(ChaosShardWorker, TornWriteIsHealedOnResume) {
   EXPECT_TRUE(deterministic_equal(merged, run_campaign(campaign)));
 }
 
-TEST(ChaosShardWorker, HangReleasesWhenTheWaitHookSaysSo) {
-  const CampaignConfig campaign = small_campaign();
-  const std::string dir = service_dir("chaos_hang_release");
-
-  std::int64_t now = 0;
-  int waits = 0;
-  ShardWorkerConfig worker;
-  worker.campaign = campaign;
-  worker.dir = dir;
-  worker.num_leases = 1;
-  worker.owner = "hanger";
-  worker.clock = [&now] { return now; };
-  worker.sleep_ms = [&now](std::int64_t ms) { now += ms; };
-  worker.chaos = parse_chaos_plan("hang@0");
-  worker.chaos_hang_wait = [&waits](std::int64_t) { return ++waits >= 3; };
-  const ShardWorkerStats stats = run_shard_worker(worker);
-
-  EXPECT_EQ(waits, 3);  // hung for three bounded waits, then released
-  EXPECT_EQ(stats.missions_run, campaign.num_missions);
-  EXPECT_TRUE(deterministic_equal(merge_shards(campaign, dir),
-                                  run_campaign(campaign)));
-}
-
-TEST(ChaosShardWorker, HungWorkerIsFencedOffAndRecoversTheLease) {
-  const CampaignConfig campaign = small_campaign();
-  const std::string dir = service_dir("chaos_hang_fence");
-
-  // Real clock and a short TTL: the heartbeat thread must discover the
-  // fence on its own renewal schedule while the mission loop hangs.
-  ShardWorkerConfig worker;
-  worker.campaign = campaign;
-  worker.dir = dir;
-  worker.num_leases = 1;
-  worker.lease_ttl_ms = 150;
-  worker.owner = "hung";
-  worker.chaos = parse_chaos_plan("hang@0");
-  worker.chaos_hang_wait = [](std::int64_t ms) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    return false;  // never self-release: only the fence gets us out
-  };
-
-  ShardWorkerStats stats;
-  std::thread runner([&] { stats = run_shard_worker(worker); });
-  // Fence the hung worker the way a coordinator would.
-  LeaseStore coordinator(dir, 150, "coordinator");
-  while (!std::filesystem::exists(coordinator.claim_path(0))) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  (void)coordinator.fence_claim(0);
-  runner.join();
-
-  // The worker abandoned the hang, re-claimed the lease (its chaos entry
-  // already spent) and finished the campaign.
-  EXPECT_GE(stats.leases_abandoned, 1);
-  EXPECT_TRUE(all_leases_done(dir, 1));
-  EXPECT_TRUE(deterministic_equal(merge_shards(campaign, dir),
-                                  run_campaign(campaign)));
-}
-
 // ---------------------------------------------------------------------------
 // Heartbeat failure handling (transient vs permanent renewal errors).
 
@@ -578,23 +640,7 @@ TEST(LeaseHeartbeatErrors, TransientFailuresPastTheTtlFence) {
 }
 
 // ---------------------------------------------------------------------------
-// Holes: machine-readable partial merges and resume.
-
-TEST(HolesManifest, RoundTripsThroughJsonl) {
-  HolesManifest manifest;
-  manifest.config_hash = "0123456789abcdef";
-  manifest.num_missions = 20;
-  manifest.holes = {MissionHole{.begin = 3, .end = 7},
-                    MissionHole{.begin = 12, .end = 13}};
-  const HolesManifest parsed = holes_manifest_from_json(to_jsonl(manifest));
-  EXPECT_EQ(parsed.schema_version, 1);
-  EXPECT_EQ(parsed.config_hash, manifest.config_hash);
-  EXPECT_EQ(parsed.num_missions, 20);
-  ASSERT_EQ(parsed.holes.size(), 2u);
-  EXPECT_EQ(parsed.holes[0].begin, 3);
-  EXPECT_EQ(parsed.holes[0].end, 7);
-  EXPECT_EQ(parsed.holes[1].begin, 12);
-}
+// Partial merges.
 
 TEST(HolesManifest, MissingMissionRangesFindsMaximalRuns) {
   CampaignResult result;
@@ -609,90 +655,6 @@ TEST(HolesManifest, MissingMissionRangesFindsMaximalRuns) {
   EXPECT_EQ(holes[1].end, 7);
   for (auto& outcome : result.outcomes) outcome.completed = true;
   EXPECT_TRUE(missing_mission_ranges(result).empty());
-}
-
-TEST(ResumeHoles, TurnsALostShardBackIntoLeasesAndCompletes) {
-  const CampaignConfig campaign = small_campaign();
-  const std::string dir = service_dir("resume_holes");
-
-  std::int64_t now = 0;
-  ShardWorkerConfig worker;
-  worker.campaign = campaign;
-  worker.dir = dir;
-  worker.num_leases = 2;
-  worker.owner = "first";
-  worker.clock = [&now] { return now; };
-  worker.sleep_ms = [&now](std::int64_t ms) { now += ms; };
-  (void)run_shard_worker(worker);
-
-  // Disaster: lease 1's shard stream is lost *after* its done marker.
-  std::filesystem::remove(shard_telemetry_path(dir, 1));
-  const CampaignResult partial =
-      merge_shards(campaign, dir, /*allow_partial=*/true);
-  const auto holes = missing_mission_ranges(partial);
-  ASSERT_EQ(holes.size(), 1u);  // lease 1's range [3,6)
-
-  ServiceManifest manifest;
-  manifest.config_hash = campaign_config_hash(campaign);
-  manifest.num_missions = campaign.num_missions;
-  manifest.num_leases = 2;
-  manifest.lease_ttl_ms = 1000;
-  HolesManifest holes_manifest;
-  holes_manifest.config_hash = manifest.config_hash;
-  holes_manifest.num_missions = campaign.num_missions;
-  holes_manifest.holes = holes;
-
-  // The done-but-holey lease is retired and its hole re-leased...
-  EXPECT_EQ(resume_holes(dir, manifest, holes_manifest), 1);
-  // ...idempotently: the recovery lease already covers the hole exactly.
-  EXPECT_EQ(resume_holes(dir, manifest, holes_manifest), 0);
-
-  worker.owner = "second";
-  const ShardWorkerStats stats = run_shard_worker(worker);
-  EXPECT_EQ(stats.missions_run, 3);  // exactly the hole, nothing else
-  EXPECT_TRUE(service_complete(dir, campaign.num_missions, 2));
-  EXPECT_TRUE(deterministic_equal(merge_shards(campaign, dir),
-                                  run_campaign(campaign)));
-}
-
-TEST(ResumeHoles, OrphanedHolesGetParentlessLeases) {
-  const std::string dir = service_dir("resume_orphan");
-  // Lease 0 = [0,3) was re-carved down to a sub covering only [2,3): the
-  // records for [0,2) were in its shard file, which is now lost. No active
-  // lease covers [0,2) — the parentless ledger form must.
-  RecarveRecord record;
-  record.parent = 0;
-  record.subs = {LeaseRange{.lease_id = 2, .begin = 2, .end = 3}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
-
-  ServiceManifest manifest;
-  manifest.config_hash = "cafe";
-  manifest.num_missions = 6;
-  manifest.num_leases = 2;
-  HolesManifest holes;
-  holes.config_hash = "cafe";
-  holes.num_missions = 6;
-  holes.holes = {MissionHole{.begin = 0, .end = 2}};
-
-  EXPECT_EQ(resume_holes(dir, manifest, holes), 1);
-  const LeaseTable table = load_lease_table(dir, 6, 2);
-  ASSERT_EQ(table.active.size(), 3u);  // lease 1, sub 2, recovery lease 3
-  EXPECT_EQ(table.active.back().lease_id, 3);
-  EXPECT_EQ(table.active.back().begin, 0);
-  EXPECT_EQ(table.active.back().end, 2);
-}
-
-TEST(ResumeHoles, RejectsMismatchedConfigHash) {
-  const std::string dir = service_dir("resume_mismatch");
-  ServiceManifest manifest;
-  manifest.config_hash = "aaaa";
-  manifest.num_missions = 6;
-  manifest.num_leases = 2;
-  HolesManifest holes;
-  holes.config_hash = "bbbb";  // from a different campaign
-  holes.num_missions = 6;
-  holes.holes = {MissionHole{.begin = 0, .end = 1}};
-  EXPECT_THROW((void)resume_holes(dir, manifest, holes), std::runtime_error);
 }
 
 TEST(ShardWorker, ThreeConcurrentWorkersMergeBitIdenticalQuadrotor) {

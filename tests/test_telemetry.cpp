@@ -93,8 +93,8 @@ TEST(Telemetry, StepCountersRoundTrip) {
   EXPECT_EQ(parsed.result.prefix_steps_reused, original.result.prefix_steps_reused);
 }
 
-// Drops the trailing `,"crc":"xxxxxxxx"` member, turning a framed record
-// into the byte layout written before checksum framing existed.
+// Drops the trailing `,"crc":"xxxxxxxx"` member: the well-formed JSON of a
+// record without its checksum.
 std::string strip_crc_frame(std::string line) {
   const size_t begin = line.rfind(",\"crc\":\"");
   EXPECT_NE(begin, std::string::npos);
@@ -102,10 +102,21 @@ std::string strip_crc_frame(std::string line) {
   return line;
 }
 
-TEST(Telemetry, LegacyRecordWithoutStepCountersParses) {
-  // Records written before the step counters existed lack the fields
-  // entirely (and predate CRC framing); they must parse (same schema
-  // version) with both counters 0.
+// Expects `line` to be rejected with the checksum error.
+void expect_checksum_mismatch(const std::string& line) {
+  try {
+    (void)telemetry_record_from_json(line);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("record checksum mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Telemetry, RecordWithoutStepCountersIsRejected) {
+  // The writer always emits the counters, so a record lacking them is
+  // damaged even when its checksum covers the damage.
   std::string line = strip_crc_frame(to_jsonl(sample_record()));
   for (const std::string key : {"sim_steps_executed", "prefix_steps_reused"}) {
     const size_t begin = line.find("\"" + key + "\":");
@@ -113,10 +124,9 @@ TEST(Telemetry, LegacyRecordWithoutStepCountersParses) {
     const size_t end = line.find(',', begin) + 1;  // through trailing comma
     line.erase(begin, end - begin);
   }
-  const TelemetryRecord parsed = telemetry_record_from_json(line);
-  EXPECT_EQ(parsed.result.sim_steps_executed, 0);
-  EXPECT_EQ(parsed.result.prefix_steps_reused, 0);
-  EXPECT_EQ(parsed.result.simulations, 41);  // neighbours unaffected
+  expect_checksum_mismatch(line);  // unframed
+  EXPECT_THROW((void)telemetry_record_from_json(frame_with_crc(line)),
+               std::invalid_argument);  // framed, but a counter is missing
 }
 
 TEST(Telemetry, RecordsAreCrcFramed) {
@@ -130,11 +140,18 @@ TEST(Telemetry, RecordsAreCrcFramed) {
   }
 }
 
-TEST(Telemetry, UnframedLegacyLineStillParses) {
-  const std::string line = strip_crc_frame(to_jsonl(sample_record()));
-  const TelemetryRecord parsed = telemetry_record_from_json(line);
-  EXPECT_TRUE(deterministic_equal(outcome_from(sample_record()),
-                                  outcome_from(parsed)));
+TEST(Telemetry, UnframedLineIsRejected) {
+  expect_checksum_mismatch(strip_crc_frame(to_jsonl(sample_record())));
+}
+
+TEST(Telemetry, TrailingCrcMemberWithQuoteOrBackslashIsRejected) {
+  // A last `,"crc":"` whose value holds a quote or backslash is no checksum
+  // at all; it must not pass as an unchecked line.
+  const std::string body = strip_crc_frame(to_jsonl(sample_record()));
+  const std::string head = body.substr(0, body.size() - 1);  // drop '}'
+  expect_checksum_mismatch(head + R"(,"crc":"ab"cd"})");
+  expect_checksum_mismatch(head + R"(,"crc":"ab\cdef"})");
+  expect_checksum_mismatch(head + R"(,"crc":"x","y":"1"})");
 }
 
 TEST(Telemetry, CorruptedFramedRecordIsRejected) {
@@ -240,6 +257,40 @@ TEST(Telemetry, QuarantineRecordRoundTrips) {
   append_jsonl_line(path, line);
   append_jsonl_line(path, line);
   EXPECT_EQ(load_quarantine(path).size(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(Telemetry, LoadersRejectUnframedAndBadChecksumLines) {
+  // A complete line that is unframed, or whose checksum does not match, is
+  // corruption in a checkpoint, shard or quarantine file alike.
+  const QuarantineRecord quarantine{.mission_index = 1,
+                                    .fuzzer = "SwarmFuzz",
+                                    .mission_seed = 7,
+                                    .config_hash = "00c0ffee00c0ffee",
+                                    .fault = sim::FaultKind::kTimeout,
+                                    .detail = "deadline",
+                                    .attempts = 1};
+  const auto bad_checksum = [](std::string line) {
+    line[line.size() - 3] = line[line.size() - 3] == '0' ? '1' : '0';
+    return line;
+  };
+  const std::string telemetry_line = to_jsonl(sample_record());
+  const std::string quarantine_line = to_jsonl(quarantine);
+  const std::string path = temp_path("reject.jsonl");
+  for (const std::string& bad :
+       {strip_crc_frame(telemetry_line), bad_checksum(telemetry_line)}) {
+    std::remove(path.c_str());
+    append_jsonl_line(path, telemetry_line);
+    append_jsonl_line(path, bad);
+    EXPECT_THROW((void)load_telemetry(path), std::runtime_error) << bad;
+  }
+  for (const std::string& bad :
+       {strip_crc_frame(quarantine_line), bad_checksum(quarantine_line)}) {
+    std::remove(path.c_str());
+    append_jsonl_line(path, quarantine_line);
+    append_jsonl_line(path, bad);
+    EXPECT_THROW((void)load_quarantine(path), std::runtime_error) << bad;
+  }
   std::remove(path.c_str());
 }
 
