@@ -369,6 +369,73 @@ void BM_ObjectiveEval(benchmark::State& state) {
 }
 BENCHMARK(BM_ObjectiveEval)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// Every tick of one flown mission (record_period 0 keeps each tick), for
+// the arms below that replay a real trajectory.
+std::vector<std::vector<sim::DroneState>> flown_ticks(int drones) {
+  sim::SimulationConfig config;
+  config.record_period = 0.0;
+  const sim::Simulator simulator(config);
+  auto system = swarm::make_vasarhelyi_system();
+  const sim::RunResult run = simulator.run(mission_of(drones), *system);
+  std::vector<std::vector<sim::DroneState>> ticks;
+  for (int s = 0; s < run.recorder.num_samples(); ++s) {
+    const auto sample = run.recorder.sample(s);
+    ticks.emplace_back(sample.begin(), sample.end());
+  }
+  return ticks;
+}
+
+// The per-tick collision check as Simulator::run makes it: swept from the
+// previous tick and carrying the pair-distance bound, replayed tick by tick
+// over a flown trajectory (the wrap back to the first tick is an unswept
+// check, which drops the bound as a fresh run would). Items = ticks.
+// Reported only: compare_bench.py's guarded prefixes do not match it.
+void BM_CollisionCheck(benchmark::State& state) {
+  const int drones = static_cast<int>(state.range(0));
+  const sim::MissionSpec mission = mission_of(drones);
+  const std::vector<std::vector<sim::DroneState>> ticks = flown_ticks(drones);
+  std::vector<std::vector<sim::Vec3>> positions;
+  for (const auto& tick : ticks) {
+    positions.emplace_back();
+    for (const sim::DroneState& s : tick) positions.back().push_back(s.position);
+  }
+  const sim::CollisionMonitor monitor(mission.drone_radius);
+  sim::PairDistanceBound bound;
+  size_t k = 0;
+  for (auto _ : state) {
+    const std::span<const sim::Vec3> prev =
+        k == 0 ? std::span<const sim::Vec3>{} : std::span<const sim::Vec3>(positions[k - 1]);
+    benchmark::DoNotOptimize(
+        monitor.check(ticks[k], prev, mission.obstacles, 0.0, {}, &bound));
+    k = k + 1 == ticks.size() ? 0 : k + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CollisionCheck)->Arg(10)->Arg(500);
+
+// SpatialGrid::gather alone, at the Vasarhelyi pair radius (r0_rep) over a
+// mid-flight 500-drone swarm: one query per drone per iteration. Items =
+// queries. Reported only.
+void BM_GridGather(benchmark::State& state) {
+  const int drones = static_cast<int>(state.range(0));
+  const std::vector<std::vector<sim::DroneState>> ticks = flown_ticks(drones);
+  std::vector<sim::Vec3> pos;
+  for (const sim::DroneState& s : ticks[ticks.size() / 2]) pos.push_back(s.position);
+  const double radius = swarm::VasarhelyiParams{}.r0_rep;
+  swarm::SpatialGrid grid;
+  grid.build(std::span<const sim::Vec3>(pos), radius);
+  std::vector<int> cand;
+  for (auto _ : state) {
+    for (const sim::Vec3& p : pos) {
+      cand.clear();
+      grid.gather(p, radius, cand);
+      benchmark::DoNotOptimize(cand.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * drones);
+}
+BENCHMARK(BM_GridGather)->Arg(500);
+
 void BM_QuadrotorStep(benchmark::State& state) {
   const auto vehicle = sim::make_vehicle(sim::VehicleType::kQuadrotor);
   vehicle->reset({0, 0, 10}, {});

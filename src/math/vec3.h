@@ -60,7 +60,18 @@ struct Vec3 {
   }
 
   // Returns this vector scaled so its norm does not exceed `max_norm`.
+  //
+  // Vectors well inside the bound return before the sqrt. Rounding is
+  // monotone and s = norm_sq() is a double, so s < fl(fl(max^2) (1 - 1e-12))
+  // implies s < max^2 exactly, hence sqrt(s) < max_norm and the sqrt-first
+  // test below would return *this too. The 1e-12 margin also absorbs a
+  // norm_sq() that a contracting compiler evaluates differently in the two
+  // places. Every other input (NaN, inf, a non-positive bound) takes the
+  // original path unchanged (DESIGN.md §9).
   [[nodiscard]] Vec3 clamped(double max_norm) const {
+    if (max_norm > 0.0 && norm_sq() < max_norm * max_norm * (1.0 - 1e-12)) {
+      return *this;
+    }
     const double n = norm();
     return (n > max_norm && n > 0.0) ? *this * (max_norm / n) : *this;
   }

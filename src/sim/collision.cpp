@@ -1,6 +1,8 @@
 #include "sim/collision.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -8,6 +10,20 @@
 #include "swarm/spatial_grid.h"
 
 namespace swarmfuzz::sim {
+
+namespace {
+
+// Pair-distance bound constants (DESIGN.md §9). The grid pair scan gathers
+// at 2r + kPairBoundMargin and the carried slack is capped at it, so a
+// re-armed bound lasts about kPairBoundMargin / (2 v_max dt) ticks. The pads
+// are charged every tick, relative to the largest displacement and to the
+// distances involved; they dwarf double rounding (~1e-16 relative) by
+// seven orders of magnitude.
+constexpr double kPairBoundMargin = 2.0;  // m
+constexpr double kBoundRelPad = 1e-9;
+constexpr double kBoundAbsPad = 1e-9;     // m
+
+}  // namespace
 
 CollisionMonitor::CollisionMonitor(double drone_radius) : drone_radius_(drone_radius) {
   if (drone_radius <= 0.0) {
@@ -17,10 +33,48 @@ CollisionMonitor::CollisionMonitor(double drone_radius) : drone_radius_(drone_ra
 
 std::optional<CollisionEvent> CollisionMonitor::check(
     std::span<const DroneState> states, std::span<const Vec3> prev_positions,
-    const ObstacleField& obstacles, double time,
-    const swarm::TickExecutor& exec) const {
+    const ObstacleField& obstacles, double time, const swarm::TickExecutor& exec,
+    PairDistanceBound* bound) const {
   const int n = static_cast<int>(states.size());
   const bool swept = prev_positions.size() == states.size();
+  const double thr = 2.0 * drone_radius_;
+
+  // Pair-distance bound (DESIGN.md §9): between pair scans, every pair
+  // distance shrinks by at most twice the tick's largest displacement
+  // (triangle inequality), so a carried slack that stays positive after
+  // that decrement proves no pair is within thr. A point-check call has no
+  // displacement to charge and a non-finite displacement bounds nothing:
+  // both scan in full, which replaces the carried bound.
+  bool scan_pairs = true;
+  if (bound != nullptr && swept && bound->slack > 0.0) {
+    double max_step_sq = 0.0;
+    bool finite = true;
+    for (int i = 0; i < n; ++i) {
+      const double step_sq = (states[static_cast<size_t>(i)].position -
+                              prev_positions[static_cast<size_t>(i)])
+                                 .norm_sq();
+      finite = finite && step_sq < std::numeric_limits<double>::infinity();
+      max_step_sq = std::max(max_step_sq, step_sq);
+    }
+    const double pad = kBoundRelPad * (thr + kPairBoundMargin) + kBoundAbsPad;
+    bound->slack -= 2.0 * std::sqrt(max_step_sq) * (1.0 + kBoundRelPad) + pad;
+    scan_pairs = !(finite && bound->slack > 0.0);
+  }
+  // Outcome of a call: any event disarms the bound; a full pair scan with
+  // no event re-arms it from the smallest pair distance it saw. Pairs the
+  // grid scan does not see are farther than thr + kPairBoundMargin,
+  // hence the cap, which also keeps the running slack within a few metres
+  // so the fixed pads above cover its rounding.
+  const auto event = [&](CollisionKind kind, int drone, int other) {
+    if (bound != nullptr) bound->slack = 0.0;
+    return CollisionEvent{kind, time, drone, other};
+  };
+  const auto no_event = [&](double min_pair_d2) -> std::optional<CollisionEvent> {
+    if (bound != nullptr) {
+      bound->slack = std::min(std::sqrt(min_pair_d2) - thr, kPairBoundMargin);
+    }
+    return std::nullopt;
+  };
 
   // First obstacle hit by drone i this step, or -1; k ascending so the
   // reported (drone, obstacle) pair matches the serial double loop.
@@ -52,39 +106,49 @@ std::optional<CollisionEvent> CollisionMonitor::check(
     return -1;
   };
 
-  // Drone-drone proximity. `pair_test` is the exact accept test; every scan
-  // strategy below visits pairs in the same lexicographic (i, j) order, so
-  // the first reported event is identical.
-  const double thr = 2.0 * drone_radius_;
-  const auto pair_test = [&](int i, int j) {
-    const Vec3 d = states[static_cast<size_t>(i)].position -
-                   states[static_cast<size_t>(j)].position;
+  // Drone-drone proximity. `pair_test` is the exact accept test on the
+  // pair's squared distance; every scan strategy below visits pairs in the
+  // same lexicographic (i, j) order, so the first reported event is
+  // identical.
+  const auto pair_d2 = [&](int i, int j) {
+    return (states[static_cast<size_t>(i)].position -
+            states[static_cast<size_t>(j)].position)
+        .norm_sq();
+  };
+  const auto pair_test = [&](double d2) {
     // Cheap squared pre-reject with a 2x margin: well-separated pairs
     // (the overwhelming majority) skip the sqrt. The margin is far beyond
-    // any rounding of d.norm(), so pairs that could possibly satisfy
+    // any rounding of the norm, so pairs that could possibly satisfy
     // `dist <= thr` always fall through to the exact original test.
-    if (d.norm_sq() > 4.0 * thr * thr) return false;
-    return d.norm() <= thr;
+    if (d2 > 4.0 * thr * thr) return false;
+    return std::sqrt(d2) <= thr;
   };
 
   // Grid fast path: any colliding pair has XY distance <= 3D distance
   // <= thr, so the per-drone candidate superset at radius thr contains every
   // partner the exact test could accept; candidates arrive in ascending
-  // index order. check() is const, so the grid and staging buffers come
-  // from the shared tick context (buffers reused: no steady-state
-  // allocation); a parallel executor chunks both scans across the pool.
+  // index order. The scan gathers at thr + kPairBoundMargin, so every pair
+  // it does not see is farther than that (the bound's cap). check() is
+  // const, so the grid and staging buffers come from the shared tick
+  // context (buffers reused: no steady-state allocation); a parallel
+  // executor chunks both scans across the pool. While the bound holds, the
+  // pair scan and the grid build are skipped and only the obstacle sweeps
+  // run.
   if (swarm::spatial_grid_wanted(n)) {
     swarm::TickContext& ctx =
         exec.context != nullptr ? *exec.context : swarm::thread_tick_context();
     swarm::SpatialGrid& grid = ctx.grid();
-    std::vector<Vec3>& pos = ctx.lane(0).pos;
-    pos.clear();
-    pos.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      pos.push_back(states[static_cast<size_t>(i)].position);
+    const double radius = thr + kPairBoundMargin;
+    if (scan_pairs) {
+      std::vector<Vec3>& pos = ctx.lane(0).pos;
+      pos.clear();
+      pos.reserve(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        pos.push_back(states[static_cast<size_t>(i)].position);
+      }
+      grid.build(std::span<const Vec3>(pos), radius);
     }
-    grid.build(std::span<const Vec3>(pos), std::max(thr, 1e-3));
-    if (grid.valid()) {
+    if (!scan_pairs || grid.valid()) {
       // Each lane records its chunk's first obstacle event and first pair
       // event; a lane stops each scan at its first hit (later drones in
       // the chunk can only yield later events). A serial executor runs the
@@ -100,12 +164,15 @@ std::optional<CollisionEvent> CollisionMonitor::check(
             break;
           }
         }
+        if (!scan_pairs) return;
         for (int i = begin; i < end && s.first_event.pair_drone < 0; ++i) {
           s.cand.clear();
-          grid.gather(pos[static_cast<size_t>(i)], thr, s.cand);
+          grid.gather(states[static_cast<size_t>(i)].position, radius, s.cand);
           for (const int j : s.cand) {
             if (j <= i) continue;
-            if (pair_test(i, j)) {
+            const double d2 = pair_d2(i, j);
+            s.first_event.min_pair_d2 = std::min(s.first_event.min_pair_d2, d2);
+            if (pair_test(d2)) {
               s.first_event.pair_drone = i;
               s.first_event.pair_other = j;
               break;
@@ -117,40 +184,43 @@ std::optional<CollisionEvent> CollisionMonitor::check(
       // loop runs EVERY obstacle check before the first pair check, so
       // any obstacle event beats any pair event; within a class the
       // lowest lane holds the globally first event because chunks are
-      // ascending and contiguous.
+      // ascending and contiguous. The lane minima reduce with min, which
+      // does not depend on how the drones were chunked (DESIGN.md §15).
       const int lanes = exec.parallel() ? exec.pool->threads() : 1;
       for (int lane = 0; lane < lanes; ++lane) {
         const swarm::FirstEventSlots& e = ctx.lane(lane).first_event;
         if (e.obstacle_drone >= 0) {
-          return CollisionEvent{CollisionKind::kDroneObstacle, time,
-                                e.obstacle_drone, e.obstacle_other};
+          return event(CollisionKind::kDroneObstacle, e.obstacle_drone,
+                       e.obstacle_other);
         }
       }
+      if (!scan_pairs) return std::nullopt;
+      double min_pair_d2 = std::numeric_limits<double>::infinity();
       for (int lane = 0; lane < lanes; ++lane) {
         const swarm::FirstEventSlots& e = ctx.lane(lane).first_event;
         if (e.pair_drone >= 0) {
-          return CollisionEvent{CollisionKind::kDroneDrone, time,
-                                e.pair_drone, e.pair_other};
+          return event(CollisionKind::kDroneDrone, e.pair_drone, e.pair_other);
         }
+        min_pair_d2 = std::min(min_pair_d2, e.min_pair_d2);
       }
-      return std::nullopt;
+      return no_event(min_pair_d2);
     }
   }
 
   for (int i = 0; i < n; ++i) {
     const int k = first_obstacle(i);
-    if (k >= 0) {
-      return CollisionEvent{CollisionKind::kDroneObstacle, time, i, k};
-    }
+    if (k >= 0) return event(CollisionKind::kDroneObstacle, i, k);
   }
+  if (!scan_pairs) return std::nullopt;
+  double min_pair_d2 = std::numeric_limits<double>::infinity();
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      if (pair_test(i, j)) {
-        return CollisionEvent{CollisionKind::kDroneDrone, time, i, j};
-      }
+      const double d2 = pair_d2(i, j);
+      min_pair_d2 = std::min(min_pair_d2, d2);
+      if (pair_test(d2)) return event(CollisionKind::kDroneDrone, i, j);
     }
   }
-  return std::nullopt;
+  return no_event(min_pair_d2);
 }
 
 }  // namespace swarmfuzz::sim

@@ -27,6 +27,15 @@ struct CollisionEvent {
   int other = -1;   // obstacle index, or the other drone's id
 };
 
+// Pair-distance bound carried between consecutive check() calls of one
+// trajectory (DESIGN.md §9, "Pair-distance bound"). While `slack` > 0 every
+// drone pair is provably more than 2r + (a rounding margin) apart, so
+// check() skips the pair scan. A default-constructed bound is unarmed;
+// check() re-arms it after each full pair scan that finds no event.
+struct PairDistanceBound {
+  double slack = 0.0;  // lower bound on (min pair distance - 2r), m
+};
+
 class CollisionMonitor {
  public:
   explicit CollisionMonitor(double drone_radius);
@@ -38,10 +47,17 @@ class CollisionMonitor {
   // reproduces the serial first-event choice exactly (obstacle events beat
   // drone-drone events, and within a class the lowest drone index wins), so
   // the returned event is identical for any thread count.
+  //
+  // `bound` (optional) carries the pair-distance bound of one trajectory:
+  // every call on it must pass as `prev_positions` the positions of the
+  // `states` given to the previous call on it. The returned event is the
+  // one a call without `bound` returns; only the work differs. Null keeps
+  // check() stateless.
   [[nodiscard]] std::optional<CollisionEvent> check(
       std::span<const DroneState> states, std::span<const Vec3> prev_positions,
       const ObstacleField& obstacles, double time,
-      const swarm::TickExecutor& exec = {}) const;
+      const swarm::TickExecutor& exec = {},
+      PairDistanceBound* bound = nullptr) const;
 
   [[nodiscard]] double drone_radius() const noexcept { return drone_radius_; }
 

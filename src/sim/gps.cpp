@@ -5,7 +5,7 @@
 namespace swarmfuzz::sim {
 
 GpsSensor::GpsSensor(const GpsConfig& config, math::Rng rng)
-    : config_(config), rng_(rng) {
+    : config_(config), period_(1.0 / config.rate_hz), rng_(rng) {
   if (config.rate_hz <= 0.0) throw std::invalid_argument("GpsSensor: rate_hz <= 0");
   if (config.noise_stddev < 0.0) {
     throw std::invalid_argument("GpsSensor: negative noise");
@@ -33,25 +33,6 @@ void GpsSensor::restore(const GpsSensorState& in) {
   last_fix_time_ = in.last_fix_time;
   has_fix_ = in.has_fix;
   fix_count_ = in.fix_count;
-}
-
-Vec3 GpsSensor::read(const Vec3& true_position, const Vec3& spoof_offset, double t) {
-  const double period = 1.0 / config_.rate_hz;
-  // Small epsilon so a caller stepping at exactly the GPS period re-samples
-  // every step despite floating-point accumulation.
-  if (!has_fix_ || t - last_fix_time_ >= period - 1e-9) {
-    Vec3 fix = true_position + spoof_offset;
-    if (config_.noise_stddev > 0.0) {
-      fix += Vec3{rng_.normal(0.0, config_.noise_stddev),
-                  rng_.normal(0.0, config_.noise_stddev),
-                  rng_.normal(0.0, config_.noise_stddev)};
-    }
-    last_fix_ = fix;
-    last_fix_time_ = t;
-    has_fix_ = true;
-    ++fix_count_;
-  }
-  return last_fix_;
 }
 
 }  // namespace swarmfuzz::sim

@@ -52,7 +52,24 @@ class GpsSensor {
   // with `spoof_offset` added to any fix taken while the offset is active.
   // Produces a new fix whenever at least one sampling period elapsed since
   // the previous fix; otherwise returns the held fix.
-  Vec3 read(const Vec3& true_position, const Vec3& spoof_offset, double t);
+  // Inline: it runs once per drone and tick.
+  Vec3 read(const Vec3& true_position, const Vec3& spoof_offset, double t) {
+    // Small epsilon so a caller stepping at exactly the GPS period re-samples
+    // every step despite floating-point accumulation.
+    if (!has_fix_ || t - last_fix_time_ >= period_ - 1e-9) {
+      Vec3 fix = true_position + spoof_offset;
+      if (config_.noise_stddev > 0.0) {
+        fix += Vec3{rng_.normal(0.0, config_.noise_stddev),
+                    rng_.normal(0.0, config_.noise_stddev),
+                    rng_.normal(0.0, config_.noise_stddev)};
+      }
+      last_fix_ = fix;
+      last_fix_time_ = t;
+      has_fix_ = true;
+      ++fix_count_;
+    }
+    return last_fix_;
+  }
 
   [[nodiscard]] const GpsConfig& config() const noexcept { return config_; }
   // Number of fixes taken since reset (held readings don't count).
@@ -66,6 +83,7 @@ class GpsSensor {
 
  private:
   GpsConfig config_;
+  double period_;  // 1 / rate_hz, s
   math::Rng rng_;
   Vec3 last_fix_;
   double last_fix_time_ = 0.0;

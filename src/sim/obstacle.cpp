@@ -14,13 +14,6 @@ ObstacleField::ObstacleField(std::vector<CylinderObstacle> obstacles)
   }
 }
 
-const CylinderObstacle& ObstacleField::at(int index) const {
-  if (index < 0 || index >= size()) {
-    throw std::out_of_range("ObstacleField: index out of range");
-  }
-  return obstacles_[static_cast<size_t>(index)];
-}
-
 std::optional<ObstacleHit> ObstacleField::nearest(const Vec3& point) const {
   std::optional<ObstacleHit> best;
   for (int i = 0; i < size(); ++i) {

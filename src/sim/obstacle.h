@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "math/vec3.h"
@@ -36,7 +37,14 @@ class ObstacleField {
   [[nodiscard]] std::span<const CylinderObstacle> obstacles() const noexcept {
     return obstacles_;
   }
-  [[nodiscard]] const CylinderObstacle& at(int index) const;
+  // Inline: the per-tick loops (collision sweeps, recorder, controller)
+  // call it ~10 times per drone and tick.
+  [[nodiscard]] const CylinderObstacle& at(int index) const {
+    if (index < 0 || index >= size()) {
+      throw std::out_of_range("ObstacleField: index out of range");
+    }
+    return obstacles_[static_cast<size_t>(index)];
+  }
 
   // Nearest obstacle to `point` by surface distance; nullopt when empty.
   [[nodiscard]] std::optional<ObstacleHit> nearest(const Vec3& point) const;

@@ -16,15 +16,4 @@ void PointMassModel::reset(const Vec3& position, const Vec3& velocity) {
   state_.velocity = velocity.clamped(params_.max_speed);
 }
 
-void PointMassModel::step(const Vec3& desired_velocity, double dt) {
-  if (dt <= 0.0) throw std::invalid_argument("PointMassModel: dt <= 0");
-  const Vec3 target = desired_velocity.clamped(params_.max_speed);
-  const Vec3 accel =
-      ((target - state_.velocity) / params_.time_constant).clamped(params_.max_acceleration);
-  // Semi-implicit Euler: update velocity first so position uses the new
-  // velocity; stable for this first-order system at any dt we use.
-  state_.velocity = (state_.velocity + accel * dt).clamped(params_.max_speed);
-  state_.position += state_.velocity * dt;
-}
-
 }  // namespace swarmfuzz::sim

@@ -5,6 +5,8 @@
 // missions are simulated per table.
 #pragma once
 
+#include <stdexcept>
+
 #include "sim/dynamics.h"
 
 namespace swarmfuzz::sim {
@@ -14,7 +16,18 @@ class PointMassModel final : public VehicleModel {
   explicit PointMassModel(const PointMassParams& params);
 
   void reset(const Vec3& position, const Vec3& velocity) override;
-  void step(const Vec3& desired_velocity, double dt) override;
+  // Inline (and the class final) so World's point-mass loop steps each
+  // drone without a virtual call.
+  void step(const Vec3& desired_velocity, double dt) override {
+    if (dt <= 0.0) throw std::invalid_argument("PointMassModel: dt <= 0");
+    const Vec3 target = desired_velocity.clamped(params_.max_speed);
+    const Vec3 accel = ((target - state_.velocity) / params_.time_constant)
+                           .clamped(params_.max_acceleration);
+    // Semi-implicit Euler: update velocity first so position uses the new
+    // velocity; stable for this first-order system at any dt we use.
+    state_.velocity = (state_.velocity + accel * dt).clamped(params_.max_speed);
+    state_.position += state_.velocity * dt;
+  }
   [[nodiscard]] DroneState state() const override { return state_; }
 
   // Position + velocity is the whole state of a point mass.

@@ -19,6 +19,17 @@ Recorder::Recorder(int num_drones, ObstacleField obstacles, double record_period
   min_center_time_.assign(cells, 0.0);
 }
 
+void Recorder::reserve(double max_time, double dt) {
+  const double period = record_period_ > 0.0 ? record_period_ : dt;
+  const double samples = max_time / period + 2.0;
+  if (!std::isfinite(samples)) return;  // zero or non-finite period or max_time
+  const double cap = static_cast<double>((std::size_t{64} << 20) / sizeof(DroneState)) /
+                     static_cast<double>(num_drones_);
+  const auto count = static_cast<std::size_t>(std::clamp(samples, 0.0, cap));
+  times_.reserve(count);
+  states_.reserve(count * static_cast<std::size_t>(num_drones_));
+}
+
 void Recorder::record(double t, std::span<const DroneState> states) {
   if (static_cast<int>(states.size()) != num_drones_) {
     throw std::invalid_argument("Recorder: state count mismatch");

@@ -39,6 +39,12 @@ class Recorder {
   // (it is copied).
   Recorder(int num_drones, ObstacleField obstacles, double record_period = 0.0);
 
+  // Reserves the sample buffers for a run of `max_time` seconds stepped at
+  // `dt` (max_time / record_period + 2 samples, or per tick with a zero
+  // period), so a from-scratch run never regrows them. The reservation is
+  // capped at 64 MiB of states; an unbounded max_time reserves nothing.
+  void reserve(double max_time, double dt);
+
   // Ingests the state at time `t`. Distance-to-obstacle minima are updated
   // on *every* call (not just kept samples) so VDO is exact.
   void record(double t, std::span<const DroneState> states);

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -181,14 +182,19 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
     total_steps = resume->steps;
     result.steps_resumed = resume->steps;
   } else {
+    result.recorder.reserve(mission.max_time, config_.dt);
     result.recorder.record(0.0, states);
   }
 
   WorldSnapshot snapshot;
   snapshot.resize(n);
   std::vector<Vec3> desired(static_cast<size_t>(n));
-  std::vector<DroneState> prev_states(static_cast<size_t>(n));
+  std::vector<DroneState> prev_states(
+      config_.use_navigation_filter ? static_cast<size_t>(n) : 0);
   std::vector<Vec3> prev_positions(static_cast<size_t>(n));
+  // The collision check's pair-distance bound, carried tick to tick along
+  // this run's trajectory (DESIGN.md §9).
+  PairDistanceBound pair_bound;
 
   // Sentinel/watchdog setup. The position envelope doubles as the
   // non-finite check: `!(norm_sq <= limit_sq)` is true for NaN too. With
@@ -305,9 +311,12 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
       }
     }
 
-    // 4. Physics.
+    // 4. Physics. Pre-step velocities are read only by the navigation
+    // filter's IMU; pre-step positions by the collision sweep.
+    if (config_.use_navigation_filter) {
+      std::copy(states.begin(), states.end(), prev_states.begin());
+    }
     for (int i = 0; i < n; ++i) {
-      prev_states[static_cast<size_t>(i)] = states[static_cast<size_t>(i)];
       prev_positions[static_cast<size_t>(i)] = states[static_cast<size_t>(i)].position;
     }
     world.step(desired, config_.dt);  // refreshes `states` in place
@@ -337,8 +346,8 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
     }
     result.recorder.record(t, states);
 
-    if (const auto event = monitor.check(states, prev_positions,
-                                         mission.obstacles, t, tick_exec)) {
+    if (const auto event = monitor.check(states, prev_positions, mission.obstacles,
+                                         t, tick_exec, &pair_bound)) {
       result.collided = true;
       if (!result.first_collision) result.first_collision = *event;
       SWARMFUZZ_DEBUG("collision at t={:.2f}s drone={} kind={}", event->time,

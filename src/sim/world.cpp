@@ -6,13 +6,16 @@ namespace swarmfuzz::sim {
 
 World::World(const MissionSpec& mission, VehicleType vehicle_type,
              const PointMassParams& point_mass, const QuadrotorParams& quadrotor) {
-  vehicles_.reserve(mission.initial_positions.size());
-  states_.reserve(mission.initial_positions.size());
-  for (const Vec3& position : mission.initial_positions) {
-    auto vehicle = make_vehicle(vehicle_type, point_mass, quadrotor);
-    vehicle->reset(position, Vec3{});
-    states_.push_back(vehicle->state());
-    vehicles_.push_back(std::move(vehicle));
+  const size_t n = mission.initial_positions.size();
+  states_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (vehicle_type == VehicleType::kPointMass) {
+      point_masses_.emplace_back(point_mass);
+    } else {
+      vehicles_.push_back(make_vehicle(vehicle_type, point_mass, quadrotor));
+    }
+    vehicle(i).reset(mission.initial_positions[i], Vec3{});
+    states_.push_back(vehicle(i).state());
   }
 }
 
@@ -24,17 +27,17 @@ DroneState World::state(int drone) const {
 }
 
 void World::save(std::vector<VehicleCheckpoint>& out) const {
-  out.resize(vehicles_.size());
-  for (size_t i = 0; i < vehicles_.size(); ++i) vehicles_[i]->save(out[i]);
+  out.resize(states_.size());
+  for (size_t i = 0; i < states_.size(); ++i) vehicle(i).save(out[i]);
 }
 
 void World::restore(std::span<const VehicleCheckpoint> vehicles, double time) {
-  if (vehicles.size() != vehicles_.size()) {
+  if (vehicles.size() != states_.size()) {
     throw std::invalid_argument("World::restore: vehicle count mismatch");
   }
-  for (size_t i = 0; i < vehicles_.size(); ++i) {
-    vehicles_[i]->restore(vehicles[i]);
-    states_[i] = vehicles_[i]->state();
+  for (size_t i = 0; i < states_.size(); ++i) {
+    vehicle(i).restore(vehicles[i]);
+    states_[i] = vehicle(i).state();
   }
   time_ = time;
 }
@@ -42,6 +45,10 @@ void World::restore(std::span<const VehicleCheckpoint> vehicles, double time) {
 void World::step(std::span<const Vec3> desired, double dt) {
   if (static_cast<int>(desired.size()) != num_drones()) {
     throw std::invalid_argument("World::step: desired size mismatch");
+  }
+  for (size_t i = 0; i < point_masses_.size(); ++i) {
+    point_masses_[i].step(desired[i], dt);
+    states_[i] = point_masses_[i].state();
   }
   for (size_t i = 0; i < vehicles_.size(); ++i) {
     vehicles_[i]->step(desired[i], dt);

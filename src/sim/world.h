@@ -7,6 +7,7 @@
 
 #include "sim/dynamics.h"
 #include "sim/mission.h"
+#include "sim/point_mass.h"
 #include "sim/types.h"
 
 namespace swarmfuzz::sim {
@@ -19,7 +20,7 @@ class World {
         const PointMassParams& point_mass = {}, const QuadrotorParams& quadrotor = {});
 
   [[nodiscard]] int num_drones() const noexcept {
-    return static_cast<int>(vehicles_.size());
+    return static_cast<int>(states_.size());
   }
   [[nodiscard]] double time() const noexcept { return time_; }
 
@@ -45,8 +46,22 @@ class World {
   void restore(std::span<const VehicleCheckpoint> vehicles, double time);
 
  private:
+  [[nodiscard]] VehicleModel& vehicle(size_t i) {
+    if (point_masses_.empty()) return *vehicles_[i];
+    return point_masses_[i];
+  }
+  [[nodiscard]] const VehicleModel& vehicle(size_t i) const {
+    if (point_masses_.empty()) return *vehicles_[i];
+    return point_masses_[i];
+  }
+
+  // Point-mass swarms (the fuzzing default) are held by value and stepped
+  // through the inline, non-virtual PointMassModel::step; every other
+  // vehicle type goes through `vehicles_`. At most one of the two is
+  // non-empty.
+  std::vector<PointMassModel> point_masses_;
   std::vector<std::unique_ptr<VehicleModel>> vehicles_;
-  std::vector<DroneState> states_;  // cache of vehicles_[i]->state()
+  std::vector<DroneState> states_;  // cache of vehicle(i).state()
   double time_ = 0.0;
 };
 

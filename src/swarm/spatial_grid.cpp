@@ -162,6 +162,11 @@ void SpatialGrid::gather(const math::Vec3& center, double radius,
   const size_t words = (static_cast<size_t>(n_) + 63) / 64;
   if (bitmap.size() < words) bitmap.assign(words, 0);
 
+  // The mark is branch-free: OR-ing in the predicate's 0/1 bit costs the
+  // same for kept and rejected entries, which interleave with no pattern a
+  // branch predictor could learn. The predicate and the extraction are
+  // unchanged, so the returned set and order are too.
+  //
   // Cell ids are row-major, so the cells [cx0, cx1] of one row occupy one
   // contiguous CSR span: each row is scanned as a single run rather than
   // cell by cell, which drops the per-cell loop overhead (cells hold ~1
@@ -176,10 +181,8 @@ void SpatialGrid::gather(const math::Vec3& center, double radius,
       const auto slot = static_cast<size_t>(e);
       const double dx = slot_x_[slot] - center.x;
       const double dy = slot_y_[slot] - center.y;
-      if (dx * dx + dy * dy <= r2) {
-        const auto j = static_cast<std::uint64_t>(entries_[slot]);
-        bitmap[j >> 6] |= std::uint64_t{1} << (j & 63);
-      }
+      const auto j = static_cast<std::uint64_t>(entries_[slot]);
+      bitmap[j >> 6] |= std::uint64_t{dx * dx + dy * dy <= r2} << (j & 63);
     }
   }
   for (size_t w = 0; w < words; ++w) {

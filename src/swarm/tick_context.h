@@ -20,6 +20,7 @@
 // deduplicating the old thread_local blocks into this single shared type.
 #pragma once
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -31,12 +32,15 @@ namespace swarmfuzz::swarm {
 
 // First-event slots of one collision-scan lane (sim/collision.cpp): the
 // lane's earliest obstacle hit and earliest drone-drone hit, as
-// (drone, other) index pairs; -1 = this lane found none.
+// (drone, other) index pairs; -1 = this lane found none. `min_pair_d2` is
+// the smallest squared distance among the pairs the lane scanned (the
+// pair-distance bound's lane minimum).
 struct FirstEventSlots {
   int obstacle_drone = -1;
   int obstacle_other = -1;
   int pair_drone = -1;
   int pair_other = -1;
+  double min_pair_d2 = std::numeric_limits<double>::infinity();
 };
 
 // Reusable mutable scratch for one evaluation lane of a pair-scan kernel.
