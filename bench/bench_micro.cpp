@@ -7,14 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "fuzz/fuzzer.h"
-#include "fuzz/lease.h"
 #include "fuzz/objective.h"
 #include "fuzz/seeds.h"
 #include "fuzz/svg.h"
@@ -27,7 +25,6 @@
 #include "swarm/spatial_grid.h"
 #include "swarm/tick_context.h"
 #include "swarm/vasarhelyi.h"
-#include "util/logging.h"
 #include "util/worker_pool.h"
 
 namespace {
@@ -553,59 +550,6 @@ void BM_MissionGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MissionGeneration)->Arg(5)->Arg(15);
-
-// Shard workers contend for campaign leases through append-only claim files
-// (fuzz/lease.h): a claim is an exclusive append + read-back and every
-// handoff is an atomic rename. Threads here are workers racing over a small
-// lease ring; each iteration attempts a claim and, on winning, performs one
-// renewal (the heartbeat write) before fencing the lease back for the next
-// round. The claims_won/claims_lost counters show the contention mix. This
-// series is filesystem-bound, so it is reported for tracking rather than
-// gated by compare_bench.py.
-void BM_LeaseClaimContention(benchmark::State& state) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("swarmfuzz_bench_lease_t" + std::to_string(state.threads())))
-          .string();
-  // Only file I/O inside the iteration loop matters, and the loop start is a
-  // barrier across threads, so thread 0 can reset the directory here without
-  // racing the other threads' (I/O-free) LeaseStore construction.
-  const util::LogLevel saved_level = util::log_level();
-  if (state.thread_index() == 0) {
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    fs::create_directories(dir);
-    // The tight claim loop makes torn-read reclaims (a claim observed
-    // mid-append) common enough to spam WARN lines; they are the protocol
-    // resolving the race correctly, not a failure, so mute them here.
-    util::set_log_level(util::LogLevel::kError);
-  }
-  fuzz::LeaseStore store(dir, /*ttl_ms=*/60'000,
-                         "bench-w" + std::to_string(state.thread_index()));
-  constexpr int kLeases = 8;
-  std::int64_t claims_won = 0;
-  std::int64_t claims_lost = 0;
-  int i = 0;
-  for (auto _ : state) {
-    const int lease_id = i++ % kLeases;
-    if (store.try_claim(lease_id)) {
-      ++claims_won;
-      benchmark::DoNotOptimize(store.renew(lease_id));
-      store.fence_claim(lease_id);
-    } else {
-      ++claims_lost;
-    }
-  }
-  if (state.thread_index() == 0) util::set_log_level(saved_level);
-  state.counters["claims_won"] = static_cast<double>(claims_won);
-  state.counters["claims_lost"] = static_cast<double>(claims_lost);
-}
-BENCHMARK(BM_LeaseClaimContention)
-    ->Threads(1)
-    ->Threads(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,9 +1,6 @@
 #include "cli/commands.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -16,10 +13,7 @@
 #include "defense/detector.h"
 #include "fuzz/campaign.h"
 #include "fuzz/fuzzer.h"
-#include "fuzz/lease.h"
 #include "fuzz/serialize.h"
-#include "fuzz/service.h"
-#include "fuzz/shard_merge.h"
 #include "graph/pagerank.h"
 #include "math/stats.h"
 #include "swarm/flocking_system.h"
@@ -27,7 +21,6 @@
 #include "swarm/reynolds.h"
 #include "swarm/vasarhelyi.h"
 #include "util/fileio.h"
-#include "util/retry.h"
 #include "util/table.h"
 
 namespace swarmfuzz::cli {
@@ -76,24 +69,8 @@ fuzz::FuzzerKind fuzzer_kind_from(const util::Options& options) {
   throw std::invalid_argument("unknown --fuzzer: " + name);
 }
 
-// The --fuzzer spelling that parses back to `kind` (fuzzer_kind_name() is a
-// display name, not a flag value).
-std::string_view fuzzer_flag_of(fuzz::FuzzerKind kind) {
-  switch (kind) {
-    case fuzz::FuzzerKind::kSwarmFuzz: return "swarmfuzz";
-    case fuzz::FuzzerKind::kRandom: return "r_fuzz";
-    case fuzz::FuzzerKind::kGradientOnly: return "g_fuzz";
-    case fuzz::FuzzerKind::kSvgOnly: return "s_fuzz";
-    case fuzz::FuzzerKind::kEvolutionary: return "e_fuzz";
-  }
-  return "swarmfuzz";
-}
-
-// The outcome-determining campaign configuration, shared by `campaign` and
-// the sharded-service commands (serve/shard/merge must all rebuild the
-// *same* configuration or campaign_config_hash validation rejects them).
-// Observer/durability fields (checkpoint, telemetry, progress) are not set
-// here — they are per-command concerns.
+// The campaign configuration on the command line, except the observer and
+// durability fields (checkpoint, telemetry, progress) cmd_campaign sets.
 fuzz::CampaignConfig campaign_config_from(const util::Options& options) {
   fuzz::CampaignConfig config;
   config.mission.num_drones = options.get_int("drones", 5);
@@ -116,9 +93,9 @@ fuzz::CampaignConfig campaign_config_from(const util::Options& options) {
   // --max-fault-retries times before it is quarantined.
   config.fuzzer.mission_timeout_s = options.get_double("mission-timeout", 0.0);
   config.fuzzer.eval_max_steps = options.get_int("eval-max-steps", 0);
-  // E_Fuzz knobs (outcome-affecting, so they enter the config hash and the
-  // service manifest; inert for every other --fuzzer). --corpus-dir is a
-  // persistence location like --checkpoint and stays a per-command concern.
+  // E_Fuzz knobs (outcome-affecting, so they enter the config hash; inert
+  // for every other --fuzzer). --corpus-dir is a persistence location like
+  // --checkpoint and stays a per-command concern.
   config.fuzzer.evolution.novelty.bins =
       options.get_int("novelty-bins", config.fuzzer.evolution.novelty.bins);
   config.fuzzer.evolution.batch_size =
@@ -142,109 +119,7 @@ fuzz::CampaignConfig campaign_config_from(const util::Options& options) {
   return config;
 }
 
-// Renders the *resolved* configuration back into canonical flags that
-// campaign_config_from() parses to the identical CampaignConfig — the
-// manifest payload of a sharded service. Values come from the built config
-// (not the raw command line) so environment-variable fallbacks resolve at
-// serve time, once, and every shard sees the same campaign. Doubles render
-// with %.17g for bit-exact round-trips; the config hash stored alongside
-// catches anything this list would ever miss.
-std::vector<std::string> campaign_args_from(const fuzz::CampaignConfig& config,
-                                            const util::Options& options) {
-  std::vector<std::string> args;
-  const auto add = [&args](std::string_view flag, const std::string& value) {
-    args.push_back("--" + std::string{flag} + "=" + value);
-  };
-  const auto exact = [](double value) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return std::string{buffer};
-  };
-  add("drones", std::to_string(config.mission.num_drones));
-  add("dt", exact(config.fuzzer.sim.dt));
-  add("gps-rate", exact(config.fuzzer.sim.gps.rate_hz));
-  add("gps-noise", exact(config.fuzzer.sim.gps.noise_stddev));
-  add("nav-filter", config.fuzzer.sim.use_navigation_filter ? "true" : "false");
-  add("vehicle", config.fuzzer.sim.vehicle == sim::VehicleType::kQuadrotor
-                     ? "quadrotor"
-                     : "pointmass");
-  add("distance", exact(config.fuzzer.spoof_distance));
-  add("budget", std::to_string(config.fuzzer.mission_budget));
-  add("no-prefix-reuse", config.fuzzer.prefix_reuse ? "false" : "true");
-  add("checkpoint-period", exact(config.fuzzer.checkpoint_period));
-  add("missions", std::to_string(config.num_missions));
-  add("seed", std::to_string(config.base_seed));
-  add("fuzzer", std::string{fuzzer_flag_of(config.kind)});
-  add("eval-threads", std::to_string(config.fuzzer.eval_threads));
-  add("sim-threads", std::to_string(config.fuzzer.sim.sim_threads));
-  add("mission-timeout", exact(config.fuzzer.mission_timeout_s));
-  add("eval-max-steps", std::to_string(config.fuzzer.eval_max_steps));
-  add("novelty-bins", std::to_string(config.fuzzer.evolution.novelty.bins));
-  add("evo-batch", std::to_string(config.fuzzer.evolution.batch_size));
-  add("max-corpus", std::to_string(config.fuzzer.evolution.max_corpus));
-  add("max-fault-retries", std::to_string(config.max_fault_retries));
-  add("clean-retries", std::to_string(config.clean_failure_retries));
-  // Opaque option passthrough: the factory and injection list cannot be
-  // rendered from the config, so their source flags carry over verbatim.
-  // Both are rendered unconditionally (defaulted when unset) because
-  // Options falls back to SWARMFUZZ_* environment variables for *absent*
-  // flags — a shard process's environment must never skew the campaign
-  // away from what serve resolved.
-  add("controller", options.get("controller", "vasarhelyi"));
-  add("fault-inject", options.get("fault-inject", ""));
-  return args;
-}
-
-// Re-parses manifest args through the normal option parser, so shards and
-// merges rebuild the campaign exactly as serve resolved it.
-fuzz::CampaignConfig campaign_config_from_manifest(
-    const fuzz::ServiceManifest& manifest) {
-  std::vector<const char*> argv;
-  argv.push_back("swarmfuzz");
-  argv.reserve(manifest.campaign_args.size() + 1);
-  for (const std::string& arg : manifest.campaign_args) {
-    argv.push_back(arg.c_str());
-  }
-  const util::Options options =
-      util::Options::parse(static_cast<int>(argv.size()), argv.data());
-  fuzz::CampaignConfig config = campaign_config_from(options);
-  const std::string hash = fuzz::campaign_config_hash(config);
-  if (hash != manifest.config_hash) {
-    throw std::runtime_error(
-        "service: rebuilt campaign hashes to " + hash + " but the manifest "
-        "says " + manifest.config_hash +
-        " (edited manifest, or a drifted binary?); refusing to shard");
-  }
-  return config;
-}
-
-// What `--wait` timeouts print instead of a bare exit code: every incomplete
-// lease with its range, progress, owner, and last-heartbeat age.
-void print_incomplete_report(const char* who, const std::string& dir,
-                             const fuzz::ServiceManifest& manifest) {
-  try {
-    const auto now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::system_clock::now().time_since_epoch())
-                            .count();
-    const std::string report = fuzz::describe_incomplete_leases(
-        fuzz::probe_lease_health(
-            dir, fuzz::carve_leases(manifest.num_missions, manifest.num_leases),
-            manifest.lease_ttl_ms, now_ms));
-    if (!report.empty()) {
-      std::fprintf(stderr, "%s: incomplete leases:\n%s", who, report.c_str());
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: cannot probe lease health: %s\n", who, e.what());
-  }
-}
-
 }  // namespace
-
-// Shared report tail of `campaign` and `merge`: --summary / --json / the
-// human-readable stats block. Defined below cmd_campaign.
-int emit_campaign_report(const fuzz::CampaignResult& result,
-                         const util::Options& options,
-                         const std::string& quarantine_path);
 
 std::shared_ptr<const swarm::SwarmController> make_controller(std::string_view name) {
   if (name == "vasarhelyi" || name == "vicsek" || name.empty()) {
@@ -385,13 +260,6 @@ int cmd_campaign(const util::Options& options) {
   }
 
   const fuzz::CampaignResult result = fuzz::run_campaign(config);
-  return emit_campaign_report(result, options, config.quarantine_path);
-}
-
-int emit_campaign_report(const fuzz::CampaignResult& result,
-                         const util::Options& options,
-                         const std::string& quarantine_path) {
-  const fuzz::CampaignConfig& config = result.config;
   // --summary=FILE persists the JSON report atomically (write-temp-then-
   // rename), so a crash mid-write can never leave a half-written report
   // where a dashboard or a later pipeline stage expects a complete one.
@@ -435,187 +303,11 @@ int emit_campaign_report(const fuzz::CampaignResult& result,
         result.fault_count(sim::FaultKind::kTimeout),
         result.fault_count(sim::FaultKind::kException),
         result.fault_count(sim::FaultKind::kCleanRunFailed));
-    if (!quarantine_path.empty()) {
-      std::printf("  quarantine        %s\n", quarantine_path.c_str());
+    if (!config.quarantine_path.empty()) {
+      std::printf("  quarantine        %s\n", config.quarantine_path.c_str());
     }
   }
   return 0;
-}
-
-int cmd_serve(const util::Options& options) {
-  const std::string dir = options.get("dir", "");
-  if (dir.empty()) {
-    throw std::invalid_argument("serve: --dir=DIR is required");
-  }
-  const fuzz::CampaignConfig config = campaign_config_from(options);
-
-  fuzz::ServiceManifest manifest;
-  manifest.config_hash = fuzz::campaign_config_hash(config);
-  manifest.num_missions = config.num_missions;
-  // Default carve: a few leases per expected worker keeps tail latency low
-  // (a straggler only strands one small range) without per-mission file
-  // churn.
-  manifest.num_leases =
-      std::clamp(options.get_int("leases", 8), 1, config.num_missions);
-  manifest.lease_ttl_ms = static_cast<std::int64_t>(
-      options.get_double("lease-ttl", 30.0) * 1000.0);
-  if (manifest.lease_ttl_ms < 1) {
-    throw std::invalid_argument("serve: --lease-ttl must be positive");
-  }
-  manifest.campaign_args = campaign_args_from(config, options);
-  fuzz::write_manifest(dir, manifest);
-
-  std::printf("service %s: %d missions in %d leases, ttl %.1fs, config %s\n",
-              dir.c_str(), manifest.num_missions, manifest.num_leases,
-              static_cast<double>(manifest.lease_ttl_ms) / 1000.0,
-              manifest.config_hash.c_str());
-  for (const fuzz::LeaseRange& lease :
-       fuzz::carve_leases(manifest.num_missions, manifest.num_leases)) {
-    std::printf("  lease %-3d missions %d..%d\n", lease.lease_id, lease.begin,
-                lease.end - 1);
-  }
-  std::printf("start workers:  swarmfuzz shard --dir=%s --owner=<unique>\n",
-              dir.c_str());
-  std::printf("then merge:     swarmfuzz merge --dir=%s [--wait]\n", dir.c_str());
-
-  // --wait: block until every lease is done (the workers drive all
-  // progress), reporting the stuck leases on timeout.
-  if (options.get_bool("wait", false)) {
-    const double timeout_s = options.get_double("wait-timeout", 0.0);
-    if (!fuzz::wait_for_service(dir, manifest.num_leases,
-                                static_cast<std::int64_t>(timeout_s * 1000.0))) {
-      std::fprintf(stderr, "serve: timed out waiting for service %s\n",
-                   dir.c_str());
-      print_incomplete_report("serve", dir, manifest);
-      return 1;
-    }
-  }
-  return 0;
-}
-
-int cmd_shard(const util::Options& options) {
-  const std::string dir = options.get("dir", "");
-  if (dir.empty()) {
-    throw std::invalid_argument("shard: --dir=DIR is required");
-  }
-  const fuzz::ServiceManifest manifest = fuzz::load_manifest(dir);
-
-  fuzz::ShardWorkerConfig worker;
-  worker.campaign = campaign_config_from_manifest(manifest);
-  worker.dir = dir;
-  worker.num_leases = manifest.num_leases;
-  worker.lease_ttl_ms = manifest.lease_ttl_ms;
-  // Default owner: hostname-independent but unique per process.
-  worker.owner = options.get(
-      "owner", "shard-" + std::to_string(static_cast<long long>(getpid())));
-  // --chaos=kill@i,torn-write@i,eio@i[xN] (also SWARMFUZZ_CHAOS):
-  // deterministic failure injection for tests and the CI shard-smoke job.
-  worker.chaos = fuzz::parse_chaos_plan(options.get("chaos", ""));
-  // Transport retry jitter is seeded from the campaign seed so chaos runs
-  // replay the exact same backoff schedule.
-  util::io_retrier().set_jitter_seed(worker.campaign.base_seed);
-
-  const fuzz::ShardWorkerStats stats = fuzz::run_shard_worker(worker);
-  const util::RetryCounters retries = util::io_retrier().counters();
-  std::printf(
-      "shard %s: %d leases claimed (%d abandoned, %d on I/O), %d missions "
-      "run, %d resumed; transport: %lld attempts, %lld retries\n",
-      worker.owner.c_str(), stats.leases_claimed, stats.leases_abandoned,
-      stats.io_aborts, stats.missions_run, stats.missions_resumed,
-      static_cast<long long>(retries.attempts),
-      static_cast<long long>(retries.retries));
-  return 0;
-}
-
-int cmd_merge(const util::Options& options) {
-  const std::string dir = options.get("dir", "");
-  if (dir.empty()) {
-    throw std::invalid_argument("merge: --dir=DIR is required");
-  }
-  const fuzz::ServiceManifest manifest = fuzz::load_manifest(dir);
-  const fuzz::CampaignConfig config = campaign_config_from_manifest(manifest);
-
-  if (options.get_bool("wait", false)) {
-    const double timeout_s = options.get_double("wait-timeout", 0.0);
-    if (!fuzz::wait_for_service(dir, manifest.num_leases,
-                                static_cast<std::int64_t>(timeout_s * 1000.0))) {
-      std::fprintf(stderr, "merge: timed out waiting for service %s\n",
-                   dir.c_str());
-      print_incomplete_report("merge", dir, manifest);
-      return 1;
-    }
-  }
-
-  const bool allow_partial = options.get_bool("allow-partial", false);
-  fuzz::ShardMergeStats stats;
-  const fuzz::CampaignResult result =
-      fuzz::merge_shards(config, dir, allow_partial, &stats);
-  std::fprintf(stderr, "merge: %d shard files, %d records, %d duplicates\n",
-               stats.shard_files, stats.records, stats.duplicates);
-
-  // --allow-partial: name what is missing. Running `shard` again finishes
-  // those leases once their claims expire — except a lease already marked
-  // done (its shard file was lost afterwards), which workers skip: name its
-  // marker so the operator can delete it first.
-  if (const std::vector<fuzz::MissionHole> holes =
-          fuzz::missing_mission_ranges(result);
-      !holes.empty()) {
-    std::string ranges;
-    int missing = 0;
-    for (const fuzz::MissionHole& hole : holes) {
-      missing += hole.size();
-      ranges += ' ';
-      ranges += std::to_string(hole.begin) + ".." + std::to_string(hole.end - 1);
-    }
-    std::fprintf(stderr,
-                 "merge: partial — %d missions missing:%s (finish with "
-                 "`swarmfuzz shard --dir=%s`)\n",
-                 missing, ranges.c_str(), dir.c_str());
-    const fuzz::LeaseStore store(dir, manifest.lease_ttl_ms, "merge-probe");
-    for (const fuzz::LeaseRange& lease :
-         fuzz::carve_leases(manifest.num_missions, manifest.num_leases)) {
-      if (!store.is_done(lease.lease_id)) continue;
-      for (const fuzz::MissionHole& hole : holes) {
-        if (hole.begin < lease.end && lease.begin < hole.end) {
-          std::fprintf(stderr,
-                       "merge: lease %d is marked done but missing missions; "
-                       "delete %s before running `shard`\n",
-                       lease.lease_id, store.done_path(lease.lease_id).c_str());
-          break;
-        }
-      }
-    }
-  }
-
-  // --golden=FILE: compare the merged result against a single-process run's
-  // checkpoint/telemetry stream; exit 3 on divergence. This is the CI
-  // bit-identical guarantee, executable anywhere.
-  const std::string golden_path = options.get("golden", "");
-  if (!golden_path.empty()) {
-    fuzz::CampaignResult golden;
-    golden.config = config;
-    golden.outcomes.resize(static_cast<std::size_t>(config.num_missions));
-    for (int i = 0; i < config.num_missions; ++i) {
-      golden.outcomes[static_cast<std::size_t>(i)].mission_index = i;
-    }
-    for (const fuzz::TelemetryRecord& record :
-         fuzz::load_telemetry(golden_path)) {
-      fuzz::validate_checkpoint_record(record, config);
-      fuzz::MissionOutcome& outcome =
-          golden.outcomes[static_cast<std::size_t>(record.mission_index)];
-      if (!outcome.completed) outcome = fuzz::outcome_from_record(record);
-    }
-    if (!fuzz::deterministic_equal(result, golden)) {
-      std::fprintf(stderr,
-                   "merge: MISMATCH against golden %s (merged report is not "
-                   "bit-identical)\n",
-                   golden_path.c_str());
-      return 3;
-    }
-    std::printf("merge: bit-identical to golden %s\n", golden_path.c_str());
-  }
-
-  return emit_campaign_report(result, options, "");
 }
 
 int cmd_svg(const util::Options& options) {
@@ -710,7 +402,10 @@ int print_usage() {
       "             [--sim-threads=N] (intra-tick threads per simulation,\n"
       "             0 = auto from what eval threads leave free)\n"
       "  campaign   evaluate a configuration over many missions\n"
-      "             [--telemetry=FILE] [--checkpoint=FILE [--resume]]\n"
+      "             [--threads=N] (mission workers, 0 = all cores)\n"
+      "             [--checkpoint=FILE [--resume]] (one CRC-framed record per\n"
+      "             mission; a killed campaign re-run with --resume runs only\n"
+      "             the missing missions) [--telemetry=FILE]\n"
       "             [--progress=false] [--no-prefix-reuse] [--checkpoint-period=S]\n"
       "             [--eval-threads=N] [--sim-threads=N] (per-worker budget;\n"
       "             0 = auto-split so workers x eval x sim <= hardware)\n"
@@ -726,30 +421,13 @@ int print_usage() {
       "             (E_Fuzz knobs; enter the campaign config hash)\n"
       "  svg        print the Swarm Vulnerability Graph seedpool\n"
       "  replay     execute an explicit spoofing plan (--target --direction\n"
-      "             --start --duration --distance) [--detect]\n"
-      "  serve      initialize a sharded campaign service: --dir=DIR plus the\n"
-      "             campaign options above; [--leases=K] (default 8)\n"
-      "             [--lease-ttl=S] (worker heartbeat TTL, default 30)\n"
-      "             [--wait [--wait-timeout=S]] (block until workers finish;\n"
-      "             on timeout, report each incomplete lease)\n"
-      "  shard      run one worker against a service: --dir=DIR\n"
-      "             [--owner=NAME] (unique per worker; default shard-<pid>)\n"
-      "             claims leases, reclaims expired ones, resumes partial\n"
-      "             ranges; exits when every lease is done\n"
-      "             [--chaos=kill|torn-write|eio@idx[xN],...] (failure\n"
-      "             injection; also read from SWARMFUZZ_CHAOS)\n"
-      "  merge      merge shard streams into the campaign report: --dir=DIR\n"
-      "             [--wait [--wait-timeout=S]] (on timeout, report each\n"
-      "             incomplete lease) [--allow-partial] (merge what exists;\n"
-      "             prints the missing mission ranges)\n"
-      "             [--golden=FILE] (exit 3 unless bit-identical to a\n"
-      "             single-process checkpoint) [--summary=FILE] [--json]\n\n"
+      "             --start --duration --distance) [--detect]\n\n"
       "common options: --drones=N --seed=N --distance=M --controller=vasarhelyi|\n"
       "                olfati|reynolds --dt=S --gps-rate=HZ --nav-filter\n"
       "                --vehicle=pointmass|quadrotor --spawn-range=M (spawn box\n"
       "                edge; widen for swarms above ~30 drones)\n"
       "<command> --help prints this usage; a flag the command does not read\n"
-      "is an error (exit 2).\n");
+      "is an error (exit 2), and so is a malformed number or boolean (exit 1).\n");
   return 64;
 }
 
@@ -767,23 +445,17 @@ constexpr std::string_view kCampaignFlags[] = {
     "eval-max-steps", "novelty-bins", "evo-batch", "max-corpus",
     "max-fault-retries", "clean-retries", "fail-fast", "fault-inject",
     "controller"};
-constexpr std::string_view kReportFlags[] = {"summary", "json"};
 constexpr std::string_view kRunFlags[] = {"controller"};
 constexpr std::string_view kFuzzFlags[] = {
     "distance", "budget", "no-prefix-reuse", "checkpoint-period",
     "mission-timeout", "eval-max-steps", "eval-threads", "novelty-bins",
     "evo-batch", "max-corpus", "corpus-dir", "fuzzer", "controller", "json"};
-constexpr std::string_view kCampaignOnlyFlags[] = {"checkpoint", "resume", "quarantine",
-                                                   "telemetry", "progress"};
+constexpr std::string_view kCampaignOnlyFlags[] = {
+    "checkpoint", "resume", "quarantine", "telemetry", "progress", "summary", "json"};
 constexpr std::string_view kSvgFlags[] = {"controller", "distance"};
 constexpr std::string_view kReplayFlags[] = {"target", "direction", "start",
                                              "duration", "distance", "controller",
                                              "detect", "detect-threshold"};
-constexpr std::string_view kServeFlags[] = {"dir", "leases", "lease-ttl",
-                                            "wait", "wait-timeout"};
-constexpr std::string_view kShardFlags[] = {"dir", "owner", "chaos"};
-constexpr std::string_view kMergeFlags[] = {"dir", "wait", "wait-timeout",
-                                            "allow-partial", "golden"};
 
 struct Command {
   std::string_view name;
@@ -796,12 +468,9 @@ const Command* find_command(std::string_view name) {
       {"run", cmd_run, {kMissionFlags, kSimFlags, kRunFlags}},
       {"fuzz", cmd_fuzz, {kMissionFlags, kSimFlags, kFuzzFlags}},
       {"campaign", cmd_campaign,
-       {kCampaignFlags, kSimFlags, kCampaignOnlyFlags, kReportFlags}},
+       {kCampaignFlags, kSimFlags, kCampaignOnlyFlags}},
       {"svg", cmd_svg, {kMissionFlags, kSimFlags, kSvgFlags}},
       {"replay", cmd_replay, {kMissionFlags, kSimFlags, kReplayFlags}},
-      {"serve", cmd_serve, {kCampaignFlags, kSimFlags, kServeFlags}},
-      {"shard", cmd_shard, {kShardFlags}},
-      {"merge", cmd_merge, {kMergeFlags, kReportFlags}},
   };
   for (const Command& command : table) {
     if (command.name == name) return &command;

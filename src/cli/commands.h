@@ -2,16 +2,12 @@
 //
 //   swarmfuzz run       - fly one mission without attack and report it
 //   swarmfuzz fuzz      - run a fuzzer (SwarmFuzz/R/G/S) on one mission
-//   swarmfuzz campaign  - run a many-mission campaign, print summary + CI
+//   swarmfuzz campaign  - run a many-mission campaign, print summary + CI;
+//                         --checkpoint=FILE makes it durable, and a killed
+//                         run continues with --resume
 //   swarmfuzz svg       - print the Swarm Vulnerability Graph and seedpool
 //   swarmfuzz replay    - execute an explicit spoofing plan, with optional
 //                         spoofing detection (--detect)
-//   swarmfuzz serve     - initialize a sharded campaign service directory
-//                         (manifest + work leases; see fuzz/service.h)
-//   swarmfuzz shard     - run one shard worker against a service directory
-//                         (--chaos=... injects deterministic failures)
-//   swarmfuzz merge     - merge shard streams into the campaign report;
-//                         --allow-partial names the missing missions
 //
 // Common options: --drones, --seed, --distance, --controller
 // (vasarhelyi|olfati|reynolds), --dt, --gps-rate, --nav-filter.
@@ -36,9 +32,6 @@ int cmd_fuzz(const util::Options& options);
 int cmd_campaign(const util::Options& options);
 int cmd_svg(const util::Options& options);
 int cmd_replay(const util::Options& options);
-int cmd_serve(const util::Options& options);
-int cmd_shard(const util::Options& options);
-int cmd_merge(const util::Options& options);
 
 // Prints usage to stdout; returns the exit code to use.
 int print_usage();

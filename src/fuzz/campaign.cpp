@@ -9,9 +9,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "util/logging.h"
+#include "util/options.h"
 #include "util/worker_pool.h"
 
 namespace swarmfuzz::fuzz {
@@ -246,25 +249,30 @@ std::vector<MissionFaultInjection> parse_fault_plan(std::string_view spec) {
     } else {
       throw fail("unknown fault mode '" + mode + "' (nan|throw|hang)");
     }
-    try {
-      std::string rest = item.substr(at + 1);
-      if (const std::size_t x = rest.find('x'); x != std::string::npos) {
-        injection.fail_attempts = std::stoi(rest.substr(x + 1));
-        rest.resize(x);
+    // Each number must be the whole token: "1junk" is no mission index.
+    const auto number = [&fail]<typename T>(std::string_view token, T& value) {
+      const std::optional<T> parsed = util::parse_number<T>(token);
+      if (!parsed) {
+        throw fail("malformed or out-of-range number '" + std::string{token} +
+                   "'");
       }
-      if (const std::size_t colon = rest.find(':'); colon != std::string::npos) {
-        injection.injection.at_time = std::stod(rest.substr(colon + 1));
-        rest.resize(colon);
-      }
-      injection.mission_index = std::stoi(rest);
-    } catch (const std::invalid_argument&) {
-      throw fail("malformed number");
-    } catch (const std::out_of_range&) {
-      throw fail("number out of range");
+      value = *parsed;
+    };
+    std::string_view rest = std::string_view{item}.substr(at + 1);
+    if (const std::size_t x = rest.find('x'); x != std::string_view::npos) {
+      number(rest.substr(x + 1), injection.fail_attempts);
+      rest = rest.substr(0, x);
     }
+    if (const std::size_t colon = rest.find(':'); colon != std::string_view::npos) {
+      number(rest.substr(colon + 1), injection.injection.at_time);
+      rest = rest.substr(0, colon);
+    }
+    number(rest, injection.mission_index);
     if (injection.mission_index < 0 || injection.fail_attempts < 1 ||
+        !std::isfinite(injection.injection.at_time) ||
         injection.injection.at_time < 0.0) {
-      throw fail("negative index/time or non-positive attempt count");
+      throw fail("negative index, negative or non-finite time, or non-positive "
+                 "attempt count");
     }
     plan.push_back(injection);
   }
@@ -408,6 +416,13 @@ bool deterministic_equal(const CampaignResult& a,
   return true;
 }
 
+namespace {
+
+// Checks a checkpoint record against the campaign it is being replayed into;
+// throws std::runtime_error when the record cannot belong to this
+// configuration (index out of range, wrong fuzzer, or a seed that does not
+// derive from the campaign base seed), so a resume never fabricates results
+// from a foreign file.
 void validate_checkpoint_record(const TelemetryRecord& record,
                                 const CampaignConfig& config) {
   if (record.mission_index < 0 || record.mission_index >= config.num_missions) {
@@ -436,6 +451,8 @@ void validate_checkpoint_record(const TelemetryRecord& record,
       " (different campaign?)");
 }
 
+// The two directions between a mission outcome and its checkpoint record;
+// outcome_from_record marks the outcome completed.
 MissionOutcome outcome_from_record(const TelemetryRecord& record) {
   return MissionOutcome{.mission_index = record.mission_index,
                         .completed = true,
@@ -461,37 +478,56 @@ TelemetryRecord record_from_outcome(const CampaignConfig& config,
   return record;
 }
 
-QuarantineLog::QuarantineLog(const CampaignConfig& config, std::string path)
-    : path_(std::move(path)),
-      fuzzer_(fuzzer_kind_name(config.kind)),
-      config_hash_(campaign_config_hash(config)) {
-  if (path_.empty()) return;
-  for (const QuarantineRecord& record : load_quarantine(path_)) {
-    recorded_.emplace(record.config_hash, record.mission_seed,
-                      record.mission_index);
+// A campaign's quarantine file. add() appends one QuarantineRecord per
+// terminally faulted mission, deduplicated against the records already in
+// the file, so a mission re-run after a resume never quarantines twice. Not
+// thread-safe.
+class QuarantineLog {
+ public:
+  // Loads the existing records of `path`; an empty path disables the log.
+  QuarantineLog(const CampaignConfig& config, std::string path)
+      : path_(std::move(path)),
+        fuzzer_(fuzzer_kind_name(config.kind)),
+        config_hash_(campaign_config_hash(config)) {
+    if (path_.empty()) return;
+    for (const QuarantineRecord& record : load_quarantine(path_)) {
+      recorded_.emplace(record.config_hash, record.mission_seed,
+                        record.mission_index);
+    }
   }
-}
 
-void QuarantineLog::add(const MissionOutcome& outcome) {
-  if (path_.empty() || outcome.fault == sim::FaultKind::kNone ||
-      !recorded_.emplace(config_hash_, outcome.mission_seed, outcome.mission_index)
-           .second) {
-    return;
+  // Appends `outcome` when it is faulted and not yet recorded. A write
+  // failure is logged, not thrown: quarantine is observability, and losing
+  // a record must not lose the campaign.
+  void add(const MissionOutcome& outcome) {
+    if (path_.empty() || outcome.fault == sim::FaultKind::kNone ||
+        !recorded_.emplace(config_hash_, outcome.mission_seed, outcome.mission_index)
+             .second) {
+      return;
+    }
+    QuarantineRecord record;
+    record.mission_index = outcome.mission_index;
+    record.fuzzer = fuzzer_;
+    record.mission_seed = outcome.mission_seed;
+    record.config_hash = config_hash_;
+    record.fault = outcome.fault;
+    record.detail = outcome.fault_detail;
+    record.attempts = outcome.fault_attempts;
+    try {
+      append_jsonl_line(path_, to_jsonl(record));
+    } catch (const std::exception& e) {
+      SWARMFUZZ_ERROR("campaign: cannot write quarantine record: {}", e.what());
+    }
   }
-  QuarantineRecord record;
-  record.mission_index = outcome.mission_index;
-  record.fuzzer = fuzzer_;
-  record.mission_seed = outcome.mission_seed;
-  record.config_hash = config_hash_;
-  record.fault = outcome.fault;
-  record.detail = outcome.fault_detail;
-  record.attempts = outcome.fault_attempts;
-  try {
-    append_jsonl_line(path_, to_jsonl(record));
-  } catch (const std::exception& e) {
-    SWARMFUZZ_ERROR("campaign: cannot write quarantine record: {}", e.what());
-  }
-}
+
+ private:
+  std::string path_;
+  std::string fuzzer_;
+  std::string config_hash_;
+  std::set<std::tuple<std::string, std::uint64_t, int>> recorded_;
+};
+
+}  // namespace
 
 ThreadBudget split_thread_budget(int workers, int requested_eval,
                                  int requested_sim, int hardware) noexcept {
@@ -503,7 +539,7 @@ ThreadBudget split_thread_budget(int workers, int requested_eval,
 
 FuzzerConfig worker_fuzzer_config(const CampaignConfig& config, int workers) {
   // Explicit over-budget requests are clamped (with one warning per
-  // campaign — this runs once per campaign/shard, not per mission) rather
+  // campaign — this runs once per campaign, not per mission) rather
   // than oversubscribing. Neither knob affects outcomes (evaluation
   // batching and the tick pool are bit-identical for any width), so both
   // are excluded from campaign_config_hash and checkpoint validation.
@@ -692,7 +728,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // The mission workers are the lanes of one pool, claiming missions in
   // index order. One runner (and thus one fuzzer) per lane: fuzzers are
   // stateful but mission outcomes only depend on per-mission seeds, so
-  // sharding is deterministic.
+  // the split over lanes is deterministic.
   util::WorkerPool workers(threads);
   std::vector<std::optional<MissionRunner>> runners(static_cast<size_t>(threads));
   workers.for_each(config.num_missions, [&](int index, int lane) {

@@ -2,8 +2,8 @@
 // swarm configuration (paper section V-B runs 100 missions per
 // configuration), and aggregates the metrics behind every table and figure.
 //
-// Missions are embarrassingly parallel; the runner shards them over a thread
-// pool. Results are bit-for-bit deterministic in (config, base_seed)
+// Missions are embarrassingly parallel; the runner spreads them over a
+// worker pool. Results are bit-for-bit deterministic in (config, base_seed)
 // regardless of thread count, because every mission derives its own streams.
 // The single exception is MissionOutcome::wall_time_s, which is measured.
 //
@@ -22,10 +22,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <set>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "fuzz/fuzzer.h"
@@ -239,44 +237,6 @@ struct CampaignResult {
 [[nodiscard]] bool deterministic_equal(const CampaignResult& a,
                                        const CampaignResult& b) noexcept;
 
-// Checks a checkpoint/telemetry record against the campaign it is being
-// replayed into; throws std::runtime_error when the record cannot belong to
-// this configuration (index out of range, wrong fuzzer, or a seed that does
-// not derive from the campaign base seed). Shared by run_campaign's resume
-// path and the shard merge (shard_merge.h), which must both refuse to
-// fabricate results from a foreign file.
-void validate_checkpoint_record(const TelemetryRecord& record,
-                                const CampaignConfig& config);
-
-// The two directions between a mission outcome and its checkpoint/shard
-// record. outcome_from_record marks the outcome completed; it is the one
-// conversion behind run_campaign's resume, merge_shards and `merge
-// --golden`. record_from_outcome leaves `shard` at -1.
-[[nodiscard]] MissionOutcome outcome_from_record(const TelemetryRecord& record);
-[[nodiscard]] TelemetryRecord record_from_outcome(const CampaignConfig& config,
-                                                  const MissionOutcome& outcome);
-
-// A campaign's (or one shard lease's) quarantine file. add() appends one
-// QuarantineRecord per terminally faulted mission, deduplicated against the
-// records already in the file, so a mission re-run after a resume or a
-// lease reclaim never quarantines twice. Not thread-safe.
-class QuarantineLog {
- public:
-  // Loads the existing records of `path`; an empty path disables the log.
-  QuarantineLog(const CampaignConfig& config, std::string path);
-
-  // Appends `outcome` when it is faulted and not yet recorded. A write
-  // failure is logged, not thrown: quarantine is observability, and losing
-  // a record must not lose the campaign.
-  void add(const MissionOutcome& outcome);
-
- private:
-  std::string path_;
-  std::string fuzzer_;
-  std::string config_hash_;
-  std::set<std::tuple<std::string, std::uint64_t, int>> recorded_;
-};
-
 using util::hardware_threads;
 using util::ThreadBudget;
 
@@ -300,15 +260,15 @@ using util::ThreadBudget;
 [[nodiscard]] FuzzerConfig worker_fuzzer_config(const CampaignConfig& config,
                                                 int workers);
 
-// Supervised execution of single campaign missions — the unit a worker
-// (thread or shard process) runs. One runner per worker: it owns a fuzzer
-// built from the worker's fuzzer configuration, and run(index) performs the
-// full containment ladder — clean-failure re-draws nested inside salted
-// fault retries, every exception out of fuzz() classified into the
+// Supervised execution of single campaign missions — the unit a campaign
+// worker runs. One runner per worker: it owns a fuzzer built from the
+// worker's fuzzer configuration, and run(index) performs the full
+// containment ladder — clean-failure re-draws nested inside salted fault
+// retries, every exception out of fuzz() classified into the
 // sim::FaultKind taxonomy, deterministic fault injections armed per
 // config.fault_injections. Outcomes depend only on (config, base_seed,
-// index), never on which worker executes them, which is what makes both
-// thread sharding and multi-process sharding bit-identical to a serial run.
+// index), never on which worker executes them, which is what makes a
+// campaign at any thread count bit-identical to a serial run.
 class MissionRunner {
  public:
   // `worker_fuzzer` is the per-worker fuzzer configuration (normally

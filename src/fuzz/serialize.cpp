@@ -145,8 +145,7 @@ std::string to_json(const CampaignResult& result) {
   json.end_object();
 
   // Transport-layer accounting (util/retry.h): how hard the durable-I/O
-  // path had to work. Process-wide, so a merged shard campaign's summary
-  // reflects the merging process, and a shard's own summary its worker.
+  // path had to work. Process-wide counters of the reporting process.
   const util::RetryCounters io = util::io_retrier().counters();
   json.key("io_retry");
   json.begin_object();

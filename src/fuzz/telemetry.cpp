@@ -239,12 +239,6 @@ std::string to_jsonl(const TelemetryRecord& record) {
   json.value(std::to_string(record.mission_seed));
   json.key("wall_time_s");
   json.value_exact(record.wall_time_s);
-  // Written only for sharded campaigns, so single-process records stay
-  // byte-identical with files written before the shard schema existed.
-  if (record.shard >= 0) {
-    json.key("shard");
-    json.value(record.shard);
-  }
   json.key("result");
   write_result(json, record.result);
   // Written only when faulted, so fault-free records stay byte-identical
@@ -275,9 +269,6 @@ TelemetryRecord telemetry_record_from_json(std::string_view line) {
   const std::string& seed_text = root.at("seed").as_string();
   record.mission_seed = std::stoull(seed_text);
   record.wall_time_s = root.at("wall_time_s").as_double();
-  if (const util::JsonValue* shard = root.find("shard"); shard != nullptr) {
-    record.shard = shard->as_int();
-  }
   record.result = result_from(root.at("result"));
   if (const util::JsonValue* fault = root.find("fault"); fault != nullptr) {
     record.fault = sim::fault_kind_from_name(fault->as_string());

@@ -36,10 +36,6 @@ struct TelemetryRecord {
   std::string fuzzer;             // fuzzer_kind_name() of the campaign's kind
   std::uint64_t mission_seed = 0; // final (possibly retried) mission seed
   double wall_time_s = 0.0;       // wall-clock spent on this mission
-  // Shard (lease) id the record came from, for sharded campaigns; -1 for
-  // single-process runs. Written only when >= 0, so single-process records
-  // stay byte-identical with pre-shard-schema files.
-  int shard = -1;
   FuzzResult result;              // full outcome, including seed attempts
   // Fault containment (DESIGN.md section 11). kNone: the mission fuzzed
   // normally. Any other kind: the supervisor exhausted its fault retries and
@@ -92,10 +88,10 @@ struct QuarantineRecord {
 void append_jsonl_line(const std::string& path, std::string_view line);
 
 // CRC-32 record framing, shared by every durable JSONL stream (telemetry,
-// checkpoints, quarantine, work leases). frame_with_crc splices the checksum
-// in as the line's final member — `{...}` becomes `{...,"crc":"xxxxxxxx"}`,
-// where the checksum covers the unframed line — so `line` must be a
-// single-line JSON object. verify_crc_frame throws std::invalid_argument
+// checkpoints, quarantine, the E_Fuzz corpus). frame_with_crc splices the
+// checksum in as the line's final member — `{...}` becomes
+// `{...,"crc":"xxxxxxxx"}`, where the checksum covers the unframed line — so
+// `line` must be a single-line JSON object. verify_crc_frame throws std::invalid_argument
 // ("record checksum mismatch") unless the line ends in such a member whose
 // value is exactly 8 lowercase hex digits matching the payload.
 [[nodiscard]] std::string frame_with_crc(std::string line);

@@ -16,10 +16,20 @@ std::string env_key(std::string_view name) {
   return key;
 }
 
-bool parse_bool(const std::string& text, bool fallback) {
+// The error for a malformed value `text` of option `name`, naming the flag
+// when it came from the command line and the variable otherwise.
+std::invalid_argument malformed(bool on_command_line, std::string_view name,
+                                const std::string& text, std::string_view expected) {
+  const std::string source =
+      on_command_line ? "--" + std::string{name} : env_key(name);
+  return std::invalid_argument(source + "=" + text + ": not " +
+                               std::string{expected});
+}
+
+std::optional<bool> parse_bool(const std::string& text) {
   if (text == "1" || text == "true" || text == "yes" || text == "on") return true;
   if (text == "0" || text == "false" || text == "no" || text == "off") return false;
-  return fallback;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -73,27 +83,23 @@ std::string Options::get(std::string_view name, std::string_view fallback) const
 int Options::get_int(std::string_view name, int fallback) const {
   const std::string text = get(name, "");
   if (text.empty()) return fallback;
-  try {
-    return std::stoi(text);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  if (const auto value = parse_number<int>(text)) return *value;
+  throw malformed(values_.contains(name), name, text, "an integer");
 }
 
 double Options::get_double(std::string_view name, double fallback) const {
   const std::string text = get(name, "");
   if (text.empty()) return fallback;
-  try {
-    return std::stod(text);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  if (const auto value = parse_number<double>(text)) return *value;
+  throw malformed(values_.contains(name), name, text, "a number");
 }
 
 bool Options::get_bool(std::string_view name, bool fallback) const {
   const std::string text = get(name, "");
   if (text.empty()) return fallback;
-  return parse_bool(text, fallback);
+  if (const auto value = parse_bool(text)) return *value;
+  throw malformed(values_.contains(name), name, text,
+                  "a boolean (true|false|yes|no|on|off|1|0)");
 }
 
 }  // namespace swarmfuzz::util

@@ -7,6 +7,7 @@
 // SWARMFUZZ_MISSIONS without editing commands.
 #pragma once
 
+#include <charconv>
 #include <map>
 #include <optional>
 #include <string>
@@ -14,6 +15,19 @@
 #include <vector>
 
 namespace swarmfuzz::util {
+
+// Parses all of `text` as a T (an integer or floating-point type); nullopt
+// when a character is left over, the value is out of range, or `text` is
+// empty. Shared by the option getters and the CLI's small grammars, so
+// "2abc" is never read as 2.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
 class Options {
  public:
@@ -29,6 +43,10 @@ class Options {
   [[nodiscard]] bool has(std::string_view name) const;
 
   // Lookup order: CLI flag, then SWARMFUZZ_<NAME> env var, then fallback.
+  // The typed getters parse the whole value (an empty one means the
+  // fallback) and throw std::invalid_argument, naming the flag or variable,
+  // when it is not a well-formed int / double / boolean — a typo such as
+  // --missions=2abc must not run with 2 or with the default.
   [[nodiscard]] std::string get(std::string_view name, std::string_view fallback) const;
   [[nodiscard]] int get_int(std::string_view name, int fallback) const;
   [[nodiscard]] double get_double(std::string_view name, double fallback) const;

@@ -65,18 +65,13 @@ IoRetrier::IoRetrier(RetryPolicy policy, std::uint64_t jitter_seed, SleepFn slee
 }
 
 std::int64_t IoRetrier::backoff_ms(std::string_view op, int attempt) const {
-  RetryPolicy policy;
-  std::uint64_t seed = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    policy = policy_;
-    seed = jitter_seed_;
-  }
+  const RetryPolicy policy = this->policy();
   double base = static_cast<double>(policy.initial_backoff_ms) *
                 std::pow(policy.backoff_multiplier, attempt - 1);
   base = std::min(base, static_cast<double>(policy.max_backoff_ms));
   const std::uint64_t hash =
-      splitmix64(seed ^ fnv1a(op) ^ (static_cast<std::uint64_t>(attempt) << 32));
+      splitmix64(jitter_seed_ ^ fnv1a(op) ^
+                 (static_cast<std::uint64_t>(attempt) << 32));
   const double unit =
       static_cast<double>(hash >> 11) / static_cast<double>(1ULL << 53);
   const double jitter = std::clamp(policy.jitter, 0.0, 1.0);
@@ -97,11 +92,6 @@ RetryPolicy IoRetrier::policy() const {
 void IoRetrier::set_policy(const RetryPolicy& policy) {
   const std::lock_guard<std::mutex> lock(mutex_);
   policy_ = policy;
-}
-
-void IoRetrier::set_jitter_seed(std::uint64_t seed) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  jitter_seed_ = seed;
 }
 
 void IoRetrier::set_sleep(SleepFn sleep) {

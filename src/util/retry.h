@@ -1,21 +1,19 @@
 // Policy-driven retry for durable-I/O ("transport") operations.
 //
-// Every write that the sharded campaign service depends on — claim
-// create/renew, atomic rename, shard append, manifest read — goes through
-// one process-wide IoRetrier, so a transient filesystem error (EINTR, a
-// brief ENOSPC, an NFS EIO hiccup) degrades to a bounded retry with
-// exponential backoff instead of aborting a whole shard. Failures are
-// classified by errno:
+// Every durable write — telemetry and checkpoint appends, quarantine
+// records, corpus saves, write_file_atomic — goes through one process-wide
+// IoRetrier, so a transient filesystem error (EINTR, a brief ENOSPC, an NFS
+// EIO hiccup) degrades to a bounded retry with exponential backoff instead
+// of aborting a whole campaign. Failures are classified by errno:
 //
 //   transient   retried up to RetryPolicy::max_attempts with exponential
 //               backoff; the jitter is deterministic (seeded splitmix64 of
-//               the operation name and attempt), so two workers configured
-//               from the same campaign seed still de-synchronise their
-//               retries reproducibly.
+//               the operation name and attempt), so a backoff schedule
+//               replays exactly.
 //   permanent   (ENOENT, EACCES, EROFS, ...) rethrown immediately — no
 //               number of retries fixes a read-only filesystem, and tight-
-//               looping on one is exactly the failure mode this layer and
-//               the lease heartbeat must avoid.
+//               looping on one is exactly the failure mode this layer must
+//               avoid.
 //
 // Counters (attempts/retries/exhausted/permanent) are process-wide and
 // stamped into the campaign summary JSON so transport overhead is
@@ -31,8 +29,8 @@
 
 namespace swarmfuzz::util {
 
-// An I/O failure that remembers its errno, so retry policy (and the lease
-// heartbeat) can tell a retryable hiccup from a permanent refusal. Derives
+// An I/O failure that remembers its errno, so retry policy can tell a
+// retryable hiccup from a permanent refusal. Derives
 // from std::runtime_error: existing catch sites keep working unchanged.
 class IoError : public std::runtime_error {
  public:
@@ -49,7 +47,7 @@ class IoError : public std::runtime_error {
 // ENOSPC, EBUSY, fd exhaustion), false for errors no retry fixes (ENOENT,
 // EACCES, EROFS, EINVAL, ...). Unknown codes (including 0) are transient:
 // misclassifying a permanent error costs a few bounded retries, while
-// misclassifying a transient one aborts a shard.
+// misclassifying a transient one aborts a campaign.
 [[nodiscard]] bool is_transient_errno(int error_code) noexcept;
 
 struct RetryPolicy {
@@ -79,8 +77,8 @@ class IoRetrier {
 
   // Runs `fn`, retrying on transient IoError with backoff as described in
   // the file header. Rethrows the final IoError on a permanent errno or on
-  // attempt exhaustion. `op` names the operation class ("shard_append",
-  // "claim_create", ...) and seeds its backoff jitter.
+  // attempt exhaustion. `op` names the operation class ("append_jsonl",
+  // "save_corpus", ...) and seeds its backoff jitter.
   template <typename Fn>
   auto run(std::string_view op, Fn&& fn) -> decltype(fn()) {
     for (int attempt = 1;; ++attempt) {
@@ -102,9 +100,6 @@ class IoRetrier {
   [[nodiscard]] RetryPolicy policy() const;
 
   void set_policy(const RetryPolicy& policy);
-  // Seeds the jitter hash — the CLI passes the campaign seed through so
-  // "deterministic" also means "reproducible for this campaign".
-  void set_jitter_seed(std::uint64_t seed);
   void set_sleep(SleepFn sleep);
   // Clears the counters (tests share the process-wide instance and must not
   // leak counts across cases).
@@ -119,7 +114,7 @@ class IoRetrier {
 
   mutable std::mutex mutex_;
   RetryPolicy policy_;
-  std::uint64_t jitter_seed_;
+  const std::uint64_t jitter_seed_;
   SleepFn sleep_;
   RetryCounters counters_;
 };

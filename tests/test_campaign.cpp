@@ -160,17 +160,23 @@ TEST(Campaign, RunsAllMissions) {
 }
 
 TEST(Campaign, DeterministicAcrossThreadCounts) {
-  CampaignConfig config = small_campaign();
-  config.num_threads = 1;
-  const CampaignResult serial = run_campaign(config);
-  config.num_threads = 3;
-  const CampaignResult parallel = run_campaign(config);
-  ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
-  for (size_t i = 0; i < serial.outcomes.size(); ++i) {
-    EXPECT_EQ(serial.outcomes[i].mission_seed, parallel.outcomes[i].mission_seed);
-    EXPECT_EQ(serial.outcomes[i].result.found, parallel.outcomes[i].result.found);
-    EXPECT_EQ(serial.outcomes[i].result.iterations,
-              parallel.outcomes[i].result.iterations);
+  // Which worker runs a mission must not matter: every deterministic field
+  // of a 3-worker campaign equals the serial run's, for both vehicle models.
+  for (const sim::VehicleType vehicle :
+       {sim::VehicleType::kPointMass, sim::VehicleType::kQuadrotor}) {
+    CampaignConfig config = small_campaign();
+    config.fuzzer.sim.vehicle = vehicle;
+    if (vehicle == sim::VehicleType::kQuadrotor) {
+      config.num_missions = 4;
+      config.fuzzer.mission_budget = 6;  // quadrotor steps cost more
+    }
+    config.num_threads = 1;
+    const CampaignResult serial = run_campaign(config);
+    config.num_threads = 3;
+    const CampaignResult parallel = run_campaign(config);
+    ASSERT_EQ(serial.num_completed(), config.num_missions);
+    EXPECT_TRUE(deterministic_equal(serial, parallel))
+        << (vehicle == sim::VehicleType::kQuadrotor ? "quadrotor" : "point mass");
   }
 }
 

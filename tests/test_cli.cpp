@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "fuzz/lease.h"
-#include "fuzz/service.h"
 #include "fuzz/telemetry.h"
 #include "swarm/controller.h"
 
@@ -50,6 +48,14 @@ TEST(Cli, UnknownCommandPrintsUsage) {
 
 TEST(Cli, BadOptionValueReportsError) {
   EXPECT_EQ(run_dispatch({"run", "--controller=nonsense"}), 1);
+  // A malformed number or boolean is an error naming the flag, not a
+  // silently truncated or defaulted value.
+  for (const char* flag : {"--missions=2abc", "--distance=ten", "--resume=maybe"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_dispatch({"campaign", flag, "--progress=false"}), 1) << flag;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(flag), std::string::npos)
+        << flag;
+  }
 }
 
 TEST(Cli, UnknownFlagExitsTwoAndNamesIt) {
@@ -59,41 +65,33 @@ TEST(Cli, UnknownFlagExitsTwoAndNamesIt) {
   EXPECT_NE(::testing::internal::GetCapturedStderr().find("--misions"),
             std::string::npos);
   EXPECT_EQ(run_dispatch({"campaign", "--bogus-flag=3", "--missions=1"}), 2);
-  for (const char* command : {"run", "fuzz", "campaign", "svg", "replay", "serve",
-                              "shard", "merge"}) {
+  for (const char* command : {"run", "fuzz", "campaign", "svg", "replay"}) {
     ::testing::internal::CaptureStderr();
     EXPECT_EQ(run_dispatch({command, "--no-such-flag"}), 2) << command;
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("--no-such-flag"), std::string::npos) << command;
   }
   // A flag of another command is just as unknown here.
-  EXPECT_EQ(run_dispatch({"merge", "--dir=x", "--progress=false"}), 2);
+  EXPECT_EQ(run_dispatch({"run", "--progress=false"}), 2);
   EXPECT_EQ(run_dispatch({"campaign", "--obstacles=2"}), 2);
 }
 
-TEST(Cli, RemovedCoordinatorFlagsAndResumeHolesAreGone) {
-  for (const char* flag :
-       {"--coordinate", "--coordinate-timeout=300", "--coordinate-poll=1",
-        "--stale-heartbeat-periods=3", "--straggler-rate-fraction=0.5",
-        "--min-observations=2", "--stall-factor=3", "--min-recarve-missions=2",
-        "--recarve-pieces=2"}) {
+TEST(Cli, RemovedServiceCommandsAreGone) {
+  // The multi-process campaign service is gone; `campaign --checkpoint
+  // ... --resume` is the durable path.
+  for (const char* command : {"serve", "shard", "merge", "resume-holes"}) {
+    ::testing::internal::CaptureStdout();
     ::testing::internal::CaptureStderr();
-    EXPECT_EQ(run_dispatch({"serve", "--dir=x", flag}), 2) << flag;
-    EXPECT_NE(::testing::internal::GetCapturedStderr().find("unknown flag"),
+    EXPECT_EQ(run_dispatch({command, "--dir=x"}), 64) << command;
+    (void)::testing::internal::GetCapturedStdout();
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find("unknown command"),
               std::string::npos)
-        << flag;
+        << command;
   }
-  ::testing::internal::CaptureStdout();
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(run_dispatch({"resume-holes", "--dir=x"}), 64);
-  (void)::testing::internal::GetCapturedStdout();
-  EXPECT_NE(::testing::internal::GetCapturedStderr().find("unknown command"),
-            std::string::npos);
 }
 
 TEST(Cli, HelpPrintsUsageAndExitsZero) {
-  for (const char* command : {"run", "fuzz", "campaign", "svg", "replay", "serve",
-                              "shard", "merge"}) {
+  for (const char* command : {"run", "fuzz", "campaign", "svg", "replay"}) {
     ::testing::internal::CaptureStdout();
     EXPECT_EQ(run_dispatch({command, "--help"}), 0) << command;
     EXPECT_NE(::testing::internal::GetCapturedStdout().find("usage:"),
@@ -131,12 +129,6 @@ TEST(Cli, DocumentedFlagsAreKnown) {
       {"replay", {"--seed=1013", "--target=1", "--start=3", "--duration=20",
                   "--detect", "--direction=left", "--distance=10",
                   "--detect-threshold=5"}},
-      {"serve", {"--dir=svc", "--leases=4", "--lease-ttl=5", "--missions=12",
-                 "--drones=5", "--budget=12", "--dt=0.05", "--gps-rate=20",
-                 "--distance=10", "--wait", "--wait-timeout=1"}},
-      {"shard", {"--dir=svc", "--owner=w1", "--chaos=kill@1,eio@2x2,torn-write@3"}},
-      {"merge", {"--dir=svc", "--wait", "--wait-timeout=300", "--golden=g.jsonl",
-                 "--allow-partial", "--summary=r.json", "--json"}},
   };
   for (const auto& [command, flags] : uses) {
     std::vector<const char*> argv{"swarmfuzz", command};
@@ -235,54 +227,6 @@ TEST(Cli, CampaignCheckpointAndTelemetryFlags) {
   EXPECT_EQ(fuzz::load_telemetry(telemetry).size(), 3u);
   std::remove(checkpoint.c_str());
   std::remove(telemetry.c_str());
-}
-
-TEST(Cli, ServeShardMergeRoundTrip) {
-  const std::string dir =
-      (std::filesystem::path{::testing::TempDir()} / "cli_service").string();
-  std::filesystem::remove_all(dir);
-  const std::string dir_flag = "--dir=" + dir;
-
-  EXPECT_EQ(cmd_serve(parse({"serve", dir_flag.c_str(), "--missions=4",
-                             "--budget=6", "--leases=2", "--lease-ttl=0.2"})),
-            0);
-
-  // Nothing has run yet: a bounded merge --wait must time out, report the
-  // unclaimed leases, and fail rather than emit a partial report.
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(cmd_merge(parse({"merge", dir_flag.c_str(), "--wait",
-                             "--wait-timeout=0.2", "--progress=false"})),
-            1);
-  EXPECT_NE(::testing::internal::GetCapturedStderr().find("unclaimed"),
-            std::string::npos);
-
-  // A malformed chaos plan is rejected at the CLI boundary.
-  const std::string chaos_flag = "--chaos=bogus@x";
-  EXPECT_EQ(run_dispatch({"shard", dir_flag.c_str(), chaos_flag.c_str()}), 1);
-
-  // A worker that died holding lease 1 never renews; the next worker drains
-  // lease 0, waits out the dead claim, reclaims lease 1 and finishes.
-  fuzz::LeaseStore dead(dir, /*ttl_ms=*/200, "dead");
-  ASSERT_TRUE(dead.try_claim(1));
-  EXPECT_EQ(cmd_shard(parse({"shard", dir_flag.c_str(), "--owner=w1"})), 0);
-  EXPECT_TRUE(fuzz::all_leases_done(dir, 2));
-  EXPECT_EQ(cmd_merge(parse({"merge", dir_flag.c_str(), "--progress=false"})), 0);
-
-  // Lose lease 1's records after it was marked done: merge --allow-partial
-  // names the missing missions and the done marker that keeps workers off
-  // the lease. Once the marker is deleted, running shard again finishes it.
-  std::filesystem::remove(dir + "/shard-1.jsonl");
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(cmd_merge(parse({"merge", dir_flag.c_str(), "--allow-partial",
-                             "--progress=false"})),
-            0);
-  const std::string partial = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(partial.find("missing: 2..3"), std::string::npos);
-  EXPECT_NE(partial.find("delete " + dir + "/lease-1.done"), std::string::npos);
-  EXPECT_EQ(partial.find("lease-0.done"), std::string::npos);
-  std::filesystem::remove(dir + "/lease-1.done");
-  EXPECT_EQ(cmd_shard(parse({"shard", dir_flag.c_str(), "--owner=w2"})), 0);
-  EXPECT_EQ(cmd_merge(parse({"merge", dir_flag.c_str(), "--progress=false"})), 0);
 }
 
 }  // namespace

@@ -169,8 +169,12 @@ TEST(FaultPlan, ParsesFullGrammar) {
 }
 
 TEST(FaultPlan, MalformedSpecsThrow) {
+  // Numbers are whole tokens and times finite: "nan@1junk" used to arm
+  // mission 1, and a nan or inf time parsed but never fired.
   for (const char* bad : {"nan", "bogus@1", "nan@", "nan@x2", "nan@1x0",
-                          "nan@-1", "nan@1:-5", "nan@1:abc"}) {
+                          "nan@-1", "nan@1:-5", "nan@1:abc", "nan@1junk",
+                          "nan@1:nan", "nan@1:inf", "nan@1:-inf", "nan@1:5s",
+                          "nan@1x2y", "nan@ 1", "throw@1.5"}) {
     EXPECT_THROW((void)fuzz::parse_fault_plan(bad), std::invalid_argument)
         << "spec: " << bad;
   }

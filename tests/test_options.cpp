@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,10 +43,42 @@ TEST(Options, FallbacksWhenMissing) {
   EXPECT_TRUE(opts.get_bool("b", true));
 }
 
-TEST(Options, MalformedNumbersFallBack) {
-  const Options opts = parse({"--n=abc", "--x=zzz"});
-  EXPECT_EQ(opts.get_int("n", 3), 3);
-  EXPECT_DOUBLE_EQ(opts.get_double("x", 2.5), 2.5);
+// Expects `read` to throw std::invalid_argument naming `source`.
+template <typename Read>
+void expect_rejected(Read read, const std::string& source) {
+  try {
+    read();
+    ADD_FAILURE() << source << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(source), std::string::npos) << e.what();
+  }
+}
+
+TEST(Options, MalformedValuesAreRejected) {
+  // A malformed value used to fall back to the default or be truncated
+  // (--missions=2abc ran 2 missions, --distance=ten ran at 10 m).
+  const Options opts = parse({"--n=abc", "--x=zzz", "--missions=2abc",
+                              "--distance=10m", "--count=1.5", "--detect=maybe",
+                              "--big=99999999999"});
+  expect_rejected([&] { return opts.get_int("n", 3); }, "--n=abc");
+  expect_rejected([&] { return opts.get_double("x", 2.5); }, "--x=zzz");
+  expect_rejected([&] { return opts.get_int("missions", 30); }, "--missions=2abc");
+  expect_rejected([&] { return opts.get_double("distance", 10.0); },
+                  "--distance=10m");
+  expect_rejected([&] { return opts.get_int("count", 1); }, "--count=1.5");
+  expect_rejected([&] { return opts.get_bool("detect", false); },
+                  "--detect=maybe");
+  expect_rejected([&] { return opts.get_int("big", 0); }, "--big=99999999999");
+  // Well-formed values of every type still parse.
+  const Options good = parse({"--n=-4", "--x=2.5e-1", "--b=off"});
+  EXPECT_EQ(good.get_int("n", 0), -4);
+  EXPECT_DOUBLE_EQ(good.get_double("x", 0.0), 0.25);
+  EXPECT_FALSE(good.get_bool("b", true));
+  // A malformed environment fallback is named by its variable.
+  ::setenv("SWARMFUZZ_TEST_MALFORMED", "7up", 1);
+  expect_rejected([] { return parse({}).get_int("test-malformed", 0); },
+                  "SWARMFUZZ_TEST_MALFORMED=7up");
+  ::unsetenv("SWARMFUZZ_TEST_MALFORMED");
 }
 
 TEST(Options, BoolParsingVariants) {

@@ -19,8 +19,8 @@ struct Harness {
   std::vector<std::int64_t> sleeps;
   IoRetrier retrier;
 
-  explicit Harness(RetryPolicy policy = {})
-      : retrier(policy, /*jitter_seed=*/42,
+  explicit Harness(RetryPolicy policy = {}, std::uint64_t jitter_seed = 42)
+      : retrier(policy, jitter_seed,
                 [this](std::int64_t ms) { sleeps.push_back(ms); }) {}
 };
 
@@ -43,7 +43,7 @@ TEST(TransientErrno, ClassifiesKnownCodes) {
   EXPECT_FALSE(is_transient_errno(EROFS));
   EXPECT_FALSE(is_transient_errno(EINVAL));
   // Unknown (including "no errno captured") must err toward retrying: the
-  // cost asymmetry is a few bounded sleeps vs an aborted shard.
+  // cost asymmetry is a few bounded sleeps vs an aborted campaign.
   EXPECT_TRUE(is_transient_errno(0));
 }
 
@@ -127,8 +127,8 @@ TEST(IoRetrier, BackoffIsDeterministicInSeedOpAndAttempt) {
   // Different op or seed -> de-synchronised (with these values; the point is
   // the jitter actually depends on its inputs).
   EXPECT_NE(a.retrier.backoff_ms("append", 1), a.retrier.backoff_ms("claim", 1));
-  b.retrier.set_jitter_seed(7);
-  EXPECT_NE(a.retrier.backoff_ms("append", 1), b.retrier.backoff_ms("append", 1));
+  const Harness c({}, /*jitter_seed=*/7);
+  EXPECT_NE(a.retrier.backoff_ms("append", 1), c.retrier.backoff_ms("append", 1));
 }
 
 TEST(IoRetrier, BackoffIsCappedAtMax) {

@@ -204,22 +204,33 @@ TEST(Telemetry, FaultFieldsRoundTripAndStayOffCleanRecords) {
   EXPECT_EQ(parsed.fault_attempts, 3);
 }
 
-TEST(Telemetry, ShardFieldRoundTripsAndStaysOffSingleProcessRecords) {
-  // Single-process records (shard = -1) must remain byte-compatible with
-  // pre-shard-schema files: no shard member at all.
+TEST(Telemetry, CrcValidRecordWithShardMemberStillLoads) {
+  // Records written by sharded campaigns carried a "shard" member. The
+  // member is no longer written, but a CRC-valid record holding one must
+  // still load — from a string and from a checkpoint file — so such
+  // checkpoints still resume.
   const std::string plain_line = to_jsonl(sample_record());
   EXPECT_EQ(plain_line.find("\"shard\""), std::string::npos);
-  EXPECT_EQ(telemetry_record_from_json(plain_line).shard, -1);
+  std::string body = strip_crc_frame(plain_line);
+  const size_t result_key = body.find("\"result\":");
+  ASSERT_NE(result_key, std::string::npos);
+  body.insert(result_key, "\"shard\":5,");
+  const std::string line = frame_with_crc(body);
 
-  TelemetryRecord sharded = sample_record();
-  sharded.shard = 5;
-  const std::string line = to_jsonl(sharded);
-  EXPECT_NE(line.find("\"shard\":5"), std::string::npos);
   const TelemetryRecord parsed = telemetry_record_from_json(line);
-  EXPECT_EQ(parsed.shard, 5);
-  // The shard stamp never perturbs the deterministic payload.
   EXPECT_TRUE(deterministic_equal(outcome_from(sample_record()),
                                   outcome_from(parsed)));
+  EXPECT_EQ(to_jsonl(parsed), plain_line);  // rewritten without the member
+
+  const std::string path = temp_path("shard_member.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << line << '\n';
+  }
+  const std::vector<TelemetryRecord> loaded = load_telemetry(path);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(to_jsonl(loaded[0]), plain_line);
+  std::remove(path.c_str());
 }
 
 TEST(Telemetry, NonFiniteMissionVdoRoundTripsAsNull) {
@@ -262,7 +273,7 @@ TEST(Telemetry, QuarantineRecordRoundTrips) {
 
 TEST(Telemetry, LoadersRejectUnframedAndBadChecksumLines) {
   // A complete line that is unframed, or whose checksum does not match, is
-  // corruption in a checkpoint, shard or quarantine file alike.
+  // corruption in a checkpoint or quarantine file alike.
   const QuarantineRecord quarantine{.mission_index = 1,
                                     .fuzzer = "SwarmFuzz",
                                     .mission_seed = 7,
