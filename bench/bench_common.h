@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -39,18 +40,24 @@ struct BenchOptions {
   std::string report_path;     // empty = stdout only
 };
 
+// A malformed option ends the program the way the swarmfuzz CLI does: one
+// "error: ..." line on stderr and exit status 1.
 inline BenchOptions parse_bench_options(int argc, const char* const* argv,
                                         int default_missions = 40) {
-  const util::Options opts = util::Options::parse(argc, argv);
   BenchOptions bench;
-  bench.missions = opts.get_int("missions", default_missions);
-  bench.threads = opts.get_int("threads", 0);
-  bench.budget = opts.get_int("budget", 60);
-  bench.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1000));
-  bench.checkpoint_dir = opts.get("checkpoint-dir", "");
-  bench.fresh = opts.get_bool("fresh", false);
-  bench.telemetry_path = opts.get("telemetry", "");
-  bench.report_path = opts.get("report", "");
+  const int status = util::run_main([&] {
+    const util::Options opts = util::Options::parse(argc, argv);
+    bench.missions = opts.get_int("missions", default_missions);
+    bench.threads = opts.get_int("threads", 0);
+    bench.budget = opts.get_int("budget", 60);
+    bench.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1000));
+    bench.checkpoint_dir = opts.get("checkpoint-dir", "");
+    bench.fresh = opts.get_bool("fresh", false);
+    bench.telemetry_path = opts.get("telemetry", "");
+    bench.report_path = opts.get("report", "");
+    return 0;
+  });
+  if (status != 0) std::exit(status);
   return bench;
 }
 

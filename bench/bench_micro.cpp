@@ -403,7 +403,7 @@ void BM_CollisionCheck(benchmark::State& state) {
     const std::span<const sim::Vec3> prev =
         k == 0 ? std::span<const sim::Vec3>{} : std::span<const sim::Vec3>(positions[k - 1]);
     benchmark::DoNotOptimize(
-        monitor.check(ticks[k], prev, mission.obstacles, 0.0, {}, &bound));
+        monitor.check(ticks[k], prev, mission.obstacles, 0.0, &bound));
     k = k + 1 == ticks.size() ? 0 : k + 1;
   }
   state.SetItemsProcessed(state.iterations());

@@ -7,6 +7,10 @@
 //
 //   ./large_swarm_scaling [--drones=100,250,500,1000] [--max-time=30]
 //                         [--seed=1005] [--compare] [--dt=0.05]
+//                         [--sim-threads=1]
+//
+// --sim-threads splits each tick's controller kernel over that many threads
+// (results are bit-identical for every value).
 //
 // --compare additionally runs every mission with the grid disabled and
 // reports the speedup; at N >= 500 the pair-scan arm takes minutes, which
@@ -79,7 +83,9 @@ std::vector<int> parse_sizes(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Options options = util::Options::parse(argc, argv);
   const auto sizes = parse_sizes(options.get("drones", "100,250,500,1000"));
   const double max_time = options.get_double("max-time", 30.0);
@@ -90,6 +96,7 @@ int main(int argc, char** argv) {
   sim::SimulationConfig sim_config;
   sim_config.dt = dt;
   sim_config.gps.rate_hz = 20.0;
+  sim_config.sim_threads = options.get_int("sim-threads", 1);
   const sim::Simulator simulator(sim_config);
 
   std::vector<std::string> header = {"drones",   "sim time (s)", "steps",
@@ -144,4 +151,10 @@ int main(int argc, char** argv) {
                 "(bit-identical results, O(N^2) wall time).\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return swarmfuzz::util::run_main([&] { return run(argc, argv); });
 }

@@ -9,7 +9,9 @@
 #include "swarm/metrics.h"
 #include "util/options.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace swarmfuzz;
   const util::Options options = util::Options::parse(argc, argv);
 
@@ -57,4 +59,10 @@ int main(int argc, char** argv) {
               result.recorder.times()[static_cast<size_t>(sample)], metrics.order,
               metrics.cohesion_radius, metrics.min_separation, metrics.mean_speed);
   return result.collided ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return swarmfuzz::util::run_main([&] { return run(argc, argv); });
 }

@@ -10,7 +10,9 @@
 #include "util/options.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace swarmfuzz;
   const util::Options options = util::Options::parse(argc, argv);
 
@@ -65,4 +67,10 @@ int main(int argc, char** argv) {
                 "  this assessment until no SPVs are found.\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return swarmfuzz::util::run_main([&] { return run(argc, argv); });
 }

@@ -10,7 +10,9 @@
 #include "util/csv.h"
 #include "util/options.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace swarmfuzz;
   const util::Options options = util::Options::parse(argc, argv);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1005));
@@ -82,4 +84,10 @@ int main(int argc, char** argv) {
   std::printf("Trajectories written to %s (%d rows).\n", out.c_str(),
               csv.rows_written());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return swarmfuzz::util::run_main([&] { return run(argc, argv); });
 }

@@ -12,7 +12,9 @@
 #include "util/options.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace swarmfuzz;
   const util::Options options = util::Options::parse(argc, argv);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1005));
@@ -94,4 +96,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render("Scheduled seedpool (fuzzing order)").c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return swarmfuzz::util::run_main([&] { return run(argc, argv); });
 }

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "math/geometry.h"
-#include "swarm/spatial_grid.h"
+#include "swarm/tick_context.h"
 
 namespace swarmfuzz::sim {
 
@@ -33,8 +33,7 @@ CollisionMonitor::CollisionMonitor(double drone_radius) : drone_radius_(drone_ra
 
 std::optional<CollisionEvent> CollisionMonitor::check(
     std::span<const DroneState> states, std::span<const Vec3> prev_positions,
-    const ObstacleField& obstacles, double time, const swarm::TickExecutor& exec,
-    PairDistanceBound* bound) const {
+    const ObstacleField& obstacles, double time, PairDistanceBound* bound) const {
   const int n = static_cast<int>(states.size());
   const bool swept = prev_positions.size() == states.size();
   const double thr = 2.0 * drone_radius_;
@@ -124,95 +123,50 @@ std::optional<CollisionEvent> CollisionMonitor::check(
     return std::sqrt(d2) <= thr;
   };
 
-  // Grid fast path: any colliding pair has XY distance <= 3D distance
-  // <= thr, so the per-drone candidate superset at radius thr contains every
-  // partner the exact test could accept; candidates arrive in ascending
-  // index order. The scan gathers at thr + kPairBoundMargin, so every pair
-  // it does not see is farther than that (the bound's cap). check() is
-  // const, so the grid and staging buffers come from the shared tick
-  // context (buffers reused: no steady-state allocation); a parallel
-  // executor chunks both scans across the pool. While the bound holds, the
-  // pair scan and the grid build are skipped and only the obstacle sweeps
-  // run.
-  if (swarm::spatial_grid_wanted(n)) {
-    swarm::TickContext& ctx =
-        exec.context != nullptr ? *exec.context : swarm::thread_tick_context();
-    swarm::SpatialGrid& grid = ctx.grid();
-    const double radius = thr + kPairBoundMargin;
-    if (scan_pairs) {
-      std::vector<Vec3>& pos = ctx.lane(0).pos;
-      pos.clear();
-      pos.reserve(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        pos.push_back(states[static_cast<size_t>(i)].position);
-      }
-      grid.build(std::span<const Vec3>(pos), radius);
-    }
-    if (!scan_pairs || grid.valid()) {
-      // Each lane records its chunk's first obstacle event and first pair
-      // event; a lane stops each scan at its first hit (later drones in
-      // the chunk can only yield later events). A serial executor runs the
-      // whole range as lane 0.
-      exec.for_range(n, [&](int begin, int end, int lane) {
-        swarm::PairScanScratch& s = ctx.lane(lane);
-        s.first_event = {};
-        for (int i = begin; i < end; ++i) {
-          const int k = first_obstacle(i);
-          if (k >= 0) {
-            s.first_event.obstacle_drone = i;
-            s.first_event.obstacle_other = k;
-            break;
-          }
-        }
-        if (!scan_pairs) return;
-        for (int i = begin; i < end && s.first_event.pair_drone < 0; ++i) {
-          s.cand.clear();
-          grid.gather(states[static_cast<size_t>(i)].position, radius, s.cand);
-          for (const int j : s.cand) {
-            if (j <= i) continue;
-            const double d2 = pair_d2(i, j);
-            s.first_event.min_pair_d2 = std::min(s.first_event.min_pair_d2, d2);
-            if (pair_test(d2)) {
-              s.first_event.pair_drone = i;
-              s.first_event.pair_other = j;
-              break;
-            }
-          }
-        }
-      });
-      // Deterministic reduction matching the serial order: the serial
-      // loop runs EVERY obstacle check before the first pair check, so
-      // any obstacle event beats any pair event; within a class the
-      // lowest lane holds the globally first event because chunks are
-      // ascending and contiguous. The lane minima reduce with min, which
-      // does not depend on how the drones were chunked (DESIGN.md §15).
-      const int lanes = exec.parallel() ? exec.pool->threads() : 1;
-      for (int lane = 0; lane < lanes; ++lane) {
-        const swarm::FirstEventSlots& e = ctx.lane(lane).first_event;
-        if (e.obstacle_drone >= 0) {
-          return event(CollisionKind::kDroneObstacle, e.obstacle_drone,
-                       e.obstacle_other);
-        }
-      }
-      if (!scan_pairs) return std::nullopt;
-      double min_pair_d2 = std::numeric_limits<double>::infinity();
-      for (int lane = 0; lane < lanes; ++lane) {
-        const swarm::FirstEventSlots& e = ctx.lane(lane).first_event;
-        if (e.pair_drone >= 0) {
-          return event(CollisionKind::kDroneDrone, e.pair_drone, e.pair_other);
-        }
-        min_pair_d2 = std::min(min_pair_d2, e.min_pair_d2);
-      }
-      return no_event(min_pair_d2);
-    }
-  }
-
+  // Every obstacle check runs before the first pair check: any obstacle
+  // event beats any pair event.
   for (int i = 0; i < n; ++i) {
     const int k = first_obstacle(i);
     if (k >= 0) return event(CollisionKind::kDroneObstacle, i, k);
   }
   if (!scan_pairs) return std::nullopt;
   double min_pair_d2 = std::numeric_limits<double>::infinity();
+
+  // Grid fast path: any colliding pair has XY distance <= 3D distance
+  // <= thr, so the per-drone candidate superset at radius thr contains every
+  // partner the exact test could accept; candidates arrive in ascending
+  // index order. The scan gathers at thr + kPairBoundMargin, so every pair
+  // it does not see is farther than that (the bound's cap). check() is
+  // const, so the grid and staging buffers come from the thread's tick
+  // context (buffers reused: no steady-state allocation). The check stays
+  // serial: at 500 drones it costs ~10 µs a tick, less than a pool handoff
+  // (DESIGN.md §15).
+  if (swarm::spatial_grid_wanted(n)) {
+    swarm::TickContext& ctx = swarm::thread_tick_context();
+    swarm::SpatialGrid& grid = ctx.grid();
+    swarm::PairScanScratch& s = ctx.lane(0);
+    const double radius = thr + kPairBoundMargin;
+    s.pos.clear();
+    s.pos.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      s.pos.push_back(states[static_cast<size_t>(i)].position);
+    }
+    grid.build(std::span<const Vec3>(s.pos), radius);
+    if (grid.valid()) {
+      for (int i = 0; i < n; ++i) {
+        s.cand.clear();
+        grid.gather(states[static_cast<size_t>(i)].position, radius, s.cand);
+        for (const int j : s.cand) {
+          if (j <= i) continue;
+          const double d2 = pair_d2(i, j);
+          min_pair_d2 = std::min(min_pair_d2, d2);
+          if (pair_test(d2)) return event(CollisionKind::kDroneDrone, i, j);
+        }
+      }
+      return no_event(min_pair_d2);
+    }
+  }
+
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       const double d2 = pair_d2(i, j);

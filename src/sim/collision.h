@@ -11,7 +11,6 @@
 
 #include "sim/mission.h"
 #include "sim/types.h"
-#include "swarm/tick_context.h"
 
 namespace swarmfuzz::sim {
 
@@ -42,11 +41,8 @@ class CollisionMonitor {
 
   // Checks all drones against obstacles (swept from prev_positions) and each
   // other; returns the first collision found, if any. `prev_positions` may
-  // be empty on the first step (point checks only). A parallel `exec` chunks
-  // the per-drone scans over the tick pool; the lane-wise reduction
-  // reproduces the serial first-event choice exactly (obstacle events beat
-  // drone-drone events, and within a class the lowest drone index wins), so
-  // the returned event is identical for any thread count.
+  // be empty on the first step (point checks only). Obstacle events beat
+  // drone-drone events; within a class the lowest drone index wins.
   //
   // `bound` (optional) carries the pair-distance bound of one trajectory:
   // every call on it must pass as `prev_positions` the positions of the
@@ -56,7 +52,6 @@ class CollisionMonitor {
   [[nodiscard]] std::optional<CollisionEvent> check(
       std::span<const DroneState> states, std::span<const Vec3> prev_positions,
       const ObstacleField& obstacles, double time,
-      const swarm::TickExecutor& exec = {},
       PairDistanceBound* bound = nullptr) const;
 
   [[nodiscard]] double drone_radius() const noexcept { return drone_radius_; }

@@ -101,15 +101,23 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
     validate_checkpoint(*resume, n, config_.use_navigation_filter);
   }
 
+  // The recorder's sample buffer is the run's largest allocation (about
+  // 7 MB at 500 drones over 30 s), so it is reserved before anything else:
+  // it then reuses the space the previous run's buffer freed. Reserved
+  // after the smaller per-run buffers, it was pushed past them onto fresh
+  // heap whenever they landed in that space first, which depended on the
+  // order missions were flown in and added a whole buffer to peak RSS.
+  RunResult result{.recorder = Recorder(n, mission.obstacles, config_.record_period)};
+  if (resume == nullptr) result.recorder.reserve(mission.max_time, config_.dt);
+
   World world(mission, config_.vehicle, config_.point_mass, config_.quadrotor);
   CollisionMonitor monitor(mission.drone_radius);
 
   // Intra-tick worker pool, created on the first run that needs it.
   // Missions below kSerialTickThreshold stay serial: the handoff would cost
   // more than the scans. The pool is handed to the control system for the
-  // duration of the run and detached on every exit path; the collision
-  // monitor gets its own lane context since check() runs outside
-  // control.compute().
+  // duration of the run and detached on every exit path. It is the tick's
+  // only handoff: the collision check runs serial (DESIGN.md §15).
   util::WorkerPool* pool = nullptr;
   if (n >= kSerialTickThreshold && sim_threads_ > 1) {
     if (tick_pool_ == nullptr) {
@@ -117,8 +125,6 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
     }
     pool = tick_pool_.get();
   }
-  swarm::TickContext collision_context(pool != nullptr ? pool->threads() : 1);
-  const swarm::TickExecutor tick_exec{pool, &collision_context};
   control.set_tick_pool(pool);
   struct TickPoolBinding {
     ControlSystem& control;
@@ -146,8 +152,6 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
   }
 
   control.reset(mission, mission.seed ^ 0x5f3759dfull);
-
-  RunResult result{.recorder = Recorder(n, mission.obstacles, config_.record_period)};
 
   // `states` tracks World's internal buffer: step() refreshes it in place,
   // so the loop below never copies the state vector. Pre-step state needed
@@ -182,7 +186,6 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
     total_steps = resume->steps;
     result.steps_resumed = resume->steps;
   } else {
-    result.recorder.reserve(mission.max_time, config_.dt);
     result.recorder.record(0.0, states);
   }
 
@@ -347,7 +350,7 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
     result.recorder.record(t, states);
 
     if (const auto event = monitor.check(states, prev_positions, mission.obstacles,
-                                         t, tick_exec, &pair_bound)) {
+                                         t, &pair_bound)) {
       result.collided = true;
       if (!result.first_collision) result.first_collision = *event;
       SWARMFUZZ_DEBUG("collision at t={:.2f}s drone={} kind={}", event->time,

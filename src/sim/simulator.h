@@ -67,7 +67,7 @@ struct SimulationConfig {
   // non-finite checks stay on; they share the same comparison).
   double divergence_limit = 1e6;
   // Intra-tick worker threads for the per-drone hot loops (controller batch
-  // kernels, lossless comm filtering, collision scans). 0 = auto (all
+  // kernels, lossless comm filtering). 0 = auto (all
   // hardware threads, util::resolve_thread_budget); 1 (the default) =
   // serial. Results are bit-identical
   // for every value — static contiguous chunking preserves each drone's

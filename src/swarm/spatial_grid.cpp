@@ -10,16 +10,13 @@ namespace swarmfuzz::swarm {
 
 namespace {
 
-// Padding applied to query radii and coverage bounds. Relative 1e-9 plus an
-// absolute 1e-9 m dwarfs double rounding (~1e-16 relative) by seven orders
-// of magnitude while still pruning essentially nothing: candidates an extra
-// nanometre out are re-rejected by the caller's exact test.
+// Padding of query radii (padded_radius) and coverage bounds. Relative
+// 1e-9 plus an absolute 1e-9 m dwarfs double rounding (~1e-16 relative) by
+// seven orders of magnitude while still pruning essentially nothing:
+// candidates an extra nanometre out are re-rejected by the caller's exact
+// test.
 constexpr double kRelPad = 1e-9;
 constexpr double kAbsPad = 1e-9;
-
-[[nodiscard]] double padded(double radius) noexcept {
-  return radius + radius * kRelPad + kAbsPad;
-}
 
 }  // namespace
 
@@ -127,7 +124,7 @@ void SpatialGrid::build(std::span<const math::Vec3> positions, double cell_size)
 void SpatialGrid::gather(const math::Vec3& center, double radius,
                          std::vector<int>& out) const {
   if (!valid_) throw std::logic_error("SpatialGrid: gather on invalid grid");
-  const double r = padded(radius);
+  const double r = padded_radius(radius);
   // Cell range overlapping [center - r, center + r]. The padding inside r
   // (>= 1e-9 m absolute) is what keeps this conservative under floor()
   // rounding: with cell_ >= 1e-3 m that margin is >= 1e-6 cell units, five

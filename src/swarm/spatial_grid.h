@@ -43,6 +43,14 @@ struct SpatialGridPolicy {
 // True when the policy enables grid acceleration for a swarm of `n` drones.
 [[nodiscard]] bool spatial_grid_wanted(int n) noexcept;
 
+// `radius` plus the rounding pad every grid query adds (relative 1e-9 plus
+// an absolute 1e-9 m): seven orders of magnitude above double rounding, so
+// no in-range drone is lost to it. Callers that carry a distance bound from
+// tick to tick pad it the same way.
+[[nodiscard]] inline double padded_radius(double radius) noexcept {
+  return radius + radius * 1e-9 + 1e-9;
+}
+
 class SpatialGrid {
  public:
   SpatialGrid() = default;

@@ -20,7 +20,6 @@
 // deduplicating the old thread_local blocks into this single shared type.
 #pragma once
 
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -29,19 +28,6 @@
 #include "util/worker_pool.h"
 
 namespace swarmfuzz::swarm {
-
-// First-event slots of one collision-scan lane (sim/collision.cpp): the
-// lane's earliest obstacle hit and earliest drone-drone hit, as
-// (drone, other) index pairs; -1 = this lane found none. `min_pair_d2` is
-// the smallest squared distance among the pairs the lane scanned (the
-// pair-distance bound's lane minimum).
-struct FirstEventSlots {
-  int obstacle_drone = -1;
-  int obstacle_other = -1;
-  int pair_drone = -1;
-  int pair_other = -1;
-  double min_pair_d2 = std::numeric_limits<double>::infinity();
-};
 
 // Reusable mutable scratch for one evaluation lane of a pair-scan kernel.
 // Kept generic (indices, distances, Vec3 accumulators) so one type serves
@@ -56,16 +42,38 @@ struct PairScanScratch {
   std::vector<math::Vec3> vec_a;  // per-drone Vec3 accumulator (dense path)
   std::vector<math::Vec3> vec_b;  // second per-drone Vec3 accumulator
   std::vector<math::Vec3> pos;    // position staging (collision, metrics)
-  FirstEventSlots first_event;    // parallel collision reduction slot
+  // The lane's share of the neighbour lists (NeighbourLists below): CSR
+  // over the drones of the lane's chunk, list_off[i - begin] .. [i - begin
+  // + 1] indexing drone i's ascending candidates in `list`.
+  std::vector<int> list;
+  std::vector<int> list_off;
+};
+
+// Verlet neighbour lists of the Vásárhelyi grid path (DESIGN.md §14,
+// "Neighbour lists"). Every drone's candidate list was gathered at
+// `radius` around `pos0`, so it holds every drone whose XY distance at
+// pos0 is at most `radius`; the lists themselves live in the lanes'
+// PairScanScratch, one chunk of the (n, chunks) partition per lane. The
+// state owns its grid: the other users of TickContext::grid() rebuild that
+// one from other positions between ticks, and the lists' re-gathers must
+// query the grid they were built from.
+struct NeighbourLists {
+  SpatialGrid grid;              // built from pos0 at cell size `radius`
+  std::vector<math::Vec3> pos0;  // positions the lists were gathered at
+  double radius = 0.0;           // gather radius, m
+  int chunks = 0;                // lane partition of the lists; 0 = none
 };
 
 class TickContext {
  public:
   explicit TickContext(int lanes = 1) { resize_lanes(lanes); }
 
-  // Grows/shrinks the lane set; existing lanes keep their capacity.
+  // Grows/shrinks the lane set; existing lanes keep their capacity. A
+  // change drops the neighbour lists, whose chunks live in the lanes.
   void resize_lanes(int lanes) {
-    lanes_.resize(static_cast<std::size_t>(lanes < 1 ? 1 : lanes));
+    const auto want = static_cast<std::size_t>(lanes < 1 ? 1 : lanes);
+    if (want != lanes_.size()) lists_.chunks = 0;
+    lanes_.resize(want);
   }
 
   [[nodiscard]] int lanes() const noexcept {
@@ -81,9 +89,12 @@ class TickContext {
     return lanes_[static_cast<std::size_t>(lane)];
   }
 
+  [[nodiscard]] NeighbourLists& neighbour_lists() noexcept { return lists_; }
+
  private:
   SpatialGrid grid_;
   std::vector<PairScanScratch> lanes_;
+  NeighbourLists lists_;
 };
 
 // Borrowed pool + context handed down the batch entry points. Default

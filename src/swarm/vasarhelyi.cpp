@@ -171,7 +171,8 @@ inline void average_friction(Terms& terms, int contributors) {
 
 // Scratch comes from the shared per-tick context (swarm/tick_context.h):
 // PairScanScratch fields used here are `neighbours` (dist, self-other),
-// `cand`/`cand_near` (grid gathers), and on the dense batch path `dist`
+// `cand`/`cand_near` (grid gathers), `list`/`list_off` (the grid path's
+// neighbour lists), and on the dense batch path `dist`
 // (row-major n*n pairwise cache), `vec_a` (repulsion accumulators), `vec_b`
 // (friction accumulators) and `contributors`. Serial callers borrow
 // thread_tick_context(); the batch path takes lanes from the executor's
@@ -220,6 +221,23 @@ inline double velocity_gap_bound(const sim::WorldSnapshot& snapshot) {
   const double dy = hi_y - lo_y;
   const double dz = hi_z - lo_z;
   return std::sqrt(dx * dx + dy * dy + dz * dz);
+}
+
+// Largest XY displacement from pos0 to pos, padded like a grid query
+// radius so the rounding of this bound can never undercount; NaN when a
+// position is not finite (pos0 always is: lists are built only on a valid
+// grid), which fails every reuse test.
+inline double max_displacement(const std::vector<Vec3>& pos,
+                               const std::vector<Vec3>& pos0) {
+  double max_sq = 0.0;
+  for (size_t i = 0; i < pos.size(); ++i) {
+    const double d2 = (pos[i] - pos0[i]).norm_xy_sq();
+    if (!(d2 < std::numeric_limits<double>::infinity())) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    max_sq = std::max(max_sq, d2);
+  }
+  return padded_radius(std::sqrt(max_sq));
 }
 
 }  // namespace
@@ -288,53 +306,95 @@ void VasarhelyiController::desired_velocity_all(const WorldSnapshot& snapshot,
   //  * repulsion fires only below r0_rep;
   //  * friction is guaranteed false beyond friction_cutoff_distance for the
   //    swarm's worst-case velocity gap (the velocity bounding-box diagonal),
-  //    so skipped pairs contribute neither a term nor a contributor count;
-  //  * attraction needs the true k_att nearest. One fused gather(r_pair)
-  //    covers that too whenever at least k_att candidates sit at exact
-  //    distance <= r_pair: the k-th smallest qualifying distance dk is then
-  //    <= r_pair, every drone at distance <= dk is among the candidates,
-  //    and NearestK over a subset that (a) contains everything at
-  //    distance <= dk and (b) preserves arrival order picks exactly the
-  //    members the full scan picks (see NearestK in vasarhelyi.h). Drones
-  //    with sparse surroundings re-gather at doubled radii until the same
-  //    certificate holds.
+  //    so pairs beyond r_pair contribute neither a term nor a contributor
+  //    count and skip both tests;
+  //  * attraction needs the true k_att nearest. The candidate list covers
+  //    that too whenever at least k_att candidates sit at exact distance
+  //    <= r_pair: the k-th smallest qualifying distance dk is then
+  //    <= r_pair, every drone at distance <= dk is a candidate, and
+  //    NearestK over a subset that (a) contains everything at distance
+  //    <= dk and (b) preserves arrival order picks exactly the members the
+  //    full scan picks (see NearestK in vasarhelyi.h). Drones with sparse
+  //    surroundings re-gather at doubled radii until the same certificate
+  //    holds.
+  // The candidates come from the context's neighbour lists (DESIGN.md §14,
+  // "Neighbour lists"): gathered at R = r_pair + kNeighbourListSkin around the
+  // positions pos0 of their build and reused while r_pair + 2 D <= R, D
+  // being the largest XY displacement since pos0. By the triangle
+  // inequality a drone within r_pair now was within r_pair + 2 D <= R at
+  // pos0, so each list stays a superset of the drones within r_pair, in
+  // ascending index order.
   // Every candidate still runs the exact per-view arithmetic in ascending
   // broadcast order, so results are bit-identical to the paths below — and
   // because each drone's kernel reads only the immutable grid/snapshot and
-  // writes only desired[i] through lane-private scratch, chunking the loop
-  // over the tick pool reproduces the serial bits for any thread count.
+  // writes only desired[i] and its lane's lists through lane-private
+  // scratch, chunking the loop over the tick pool reproduces the serial
+  // bits for any thread count.
   if (spatial_grid_wanted(n)) {
     const double r_pair = std::max(
         params_.r0_rep,
         friction_cutoff_distance(params_, velocity_gap_bound(snapshot)));
     if (std::isfinite(r_pair)) {
-      SpatialGrid& grid = ctx.grid();
-      grid.build(std::span<const Vec3>(pos), std::max(r_pair, 1e-3));
-      if (grid.valid()) {
+      NeighbourLists& lists = ctx.neighbour_lists();
+      const int chunks = exec.parallel() ? exec.pool->threads() : 1;
+      // D, padded; NaN for a non-finite position, which fails the test.
+      double drift = 0.0;
+      bool reuse = lists.chunks == chunks && lists.pos0.size() == pos.size();
+      if (reuse) {
+        drift = max_displacement(pos, lists.pos0);
+        reuse = r_pair + 2.0 * drift <= lists.radius;
+      }
+      if (!reuse) {
+        drift = 0.0;
+        lists.radius = r_pair + kNeighbourListSkin;
+        lists.grid.build(std::span<const Vec3>(pos), std::max(lists.radius, 1e-3));
+        lists.pos0.assign(pos.begin(), pos.end());
+        lists.chunks = lists.grid.valid() ? chunks : 0;
+      }
+      if (lists.chunks != 0) {
+        const SpatialGrid& grid = lists.grid;
+        const double keep_d2 = padded_radius(r_pair) * padded_radius(r_pair);
         exec.for_range(n, [&](int begin, int end, int lane) {
           PairScanScratch& s = ctx.lane(lane);
+          if (!reuse) {
+            s.list.clear();
+            s.list_off.assign(1, 0);
+          }
           for (int i = begin; i < end; ++i) {
             const Vec3& self_pos = pos[static_cast<size_t>(i)];
             const Vec3& self_vel = vel[static_cast<size_t>(i)];
             Terms terms;
             terms.migration = migration_term(params_, self_pos, mission);
 
+            if (!reuse) {
+              grid.gather(self_pos, lists.radius, s.list);
+              s.list_off.push_back(static_cast<int>(s.list.size()));
+            }
+            const auto k = static_cast<size_t>(i - begin);
+            const std::span<const int> cand(
+                s.list.data() + s.list_off[k],
+                static_cast<size_t>(s.list_off[k + 1] - s.list_off[k]));
+
             // Fused candidate pass: diff and dist are computed once per
             // candidate and feed repulsion, friction AND the attraction
-            // neighbour list.
-            s.cand.clear();
-            grid.gather(self_pos, r_pair, s.cand);
-            s.neighbours.clear();
+            // selection. A candidate provably beyond r_pair (its squared
+            // distance above keep_d2) is skipped whole: it adds no term, and
+            // whenever the k_att nearest are certified below, every one of
+            // them lies within r_pair.
+            NearestK nearest(params_.k_att);
             int friction_contributors = 0;
             int within_r_pair = 0;
-            for (const int j : s.cand) {
+            for (const int j : cand) {
               if (j == i) continue;
               const Vec3 diff =
                   (self_pos - pos[static_cast<size_t>(j)]).horizontal();
-              const double dist = diff.norm();
+              const double d2 = diff.norm_sq();
+              if (!(d2 <= keep_d2)) continue;
+              const double dist = std::sqrt(d2);  // == diff.norm()
               if (dist < 1e-9) continue;  // coincident fixes
-              s.neighbours.emplace_back(dist, diff);
-              if (dist <= r_pair) ++within_r_pair;
+              nearest.offer(dist, j);
+              if (!(dist <= r_pair)) continue;
+              ++within_r_pair;
               Vec3 term;
               if (repulsion_term(params_, diff, dist, term)) {
                 terms.repulsion += term;
@@ -348,33 +408,40 @@ void VasarhelyiController::desired_velocity_all(const WorldSnapshot& snapshot,
             }
             average_friction(terms, friction_contributors);
 
-            // s.neighbours covers the k_att nearest when enough candidates
-            // sit within the exact (unpadded) r_pair, or when the candidate
-            // set is the whole swarm. A drone with sparser surroundings (the
-            // Poisson tail of the neighbour count) re-gathers at
-            // geometrically doubled radii until the same certificate holds —
-            // each retry is one cheap rectangle query, and the doubling
-            // terminates because a radius covering the grid extent returns
-            // every drone.
+            // The selection holds the k_att nearest when at least k_att
+            // candidates sit within the exact (unpadded) r_pair. A drone
+            // with sparser surroundings (the Poisson tail of the neighbour
+            // count) re-gathers at geometrically doubled radii r_att until
+            // k_att candidates sit within r_att or the gather returns the
+            // whole swarm — each retry is one cheap rectangle query on the
+            // lists' grid, widened by D because that grid holds the pos0
+            // positions, and the doubling terminates because a radius
+            // covering the grid extent returns every drone.
             double r_att = r_pair;
-            while (within_r_pair < params_.k_att &&
-                   static_cast<int>(s.cand.size()) < n) {
+            bool certified = within_r_pair >= params_.k_att;
+            while (!certified) {
               r_att *= 2.0;
               s.cand.clear();
-              grid.gather(self_pos, r_att, s.cand);
-              s.neighbours.clear();
-              within_r_pair = 0;
+              grid.gather(self_pos, r_att + drift, s.cand);
+              nearest = NearestK(params_.k_att);
+              int within_r_att = 0;
               for (const int j : s.cand) {
                 if (j == i) continue;
                 const Vec3 diff =
                     (self_pos - pos[static_cast<size_t>(j)]).horizontal();
                 const double dist = diff.norm();
                 if (dist < 1e-9) continue;
-                s.neighbours.emplace_back(dist, diff);
-                if (dist <= r_att) ++within_r_pair;
+                nearest.offer(dist, j);
+                if (dist <= r_att) ++within_r_att;
               }
+              certified = within_r_att >= params_.k_att ||
+                          static_cast<int>(s.cand.size()) == n;
             }
-            terms.attraction = attraction_sum(params_, s.neighbours);
+            // The selected diffs are recomputed with the same operations,
+            // so they carry the bits the candidate pass saw.
+            terms.attraction = attraction_sum(params_, nearest, [&](int j) {
+              return (self_pos - pos[static_cast<size_t>(j)]).horizontal();
+            });
 
             terms.shill =
                 shill_sum(params_, shill_curve_, self_pos, self_vel, mission);

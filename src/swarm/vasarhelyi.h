@@ -90,6 +90,14 @@ class BrakingCurve {
 // selection keeps its k nearest in a fixed stack array of this size.
 inline constexpr int kMaxAttractionNeighbours = 16;
 
+// Skin of the grid path's neighbour lists, m (DESIGN.md §14, "Neighbour
+// lists"): the lists are gathered at r_pair + kNeighbourListSkin and rebuilt
+// once r_pair + 2 D exceeds that, D being the largest XY displacement since
+// the build. A wider skin rebuilds less often but walks more candidates on
+// every tick; on 500-drone missions 1.5 m was no slower than 2.5 m or 4 m
+// (EXPERIMENTS.md, "Neighbour lists").
+inline constexpr double kNeighbourListSkin = 1.5;
+
 // Running selection of the k nearest candidates, ascending by distance, in
 // a fixed-capacity stack array (k <= kMaxAttractionNeighbours; k <= 0 keeps
 // none). Candidates are offered in arrival order; comparisons are strict

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <charconv>
+#include <cstdio>
+#include <exception>
 #include <map>
 #include <optional>
 #include <string>
@@ -68,5 +70,19 @@ class Options {
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> positional_;
 };
+
+// Runs a program's `body` and reports an exception escaping it the way the
+// swarmfuzz CLI does: one "error: <what>" line on stderr and exit status 1,
+// not std::terminate's abort. The examples wrap their main in it, so a
+// malformed value such as --drones=5x ends in a one-line error.
+template <typename Body>
+int run_main(Body&& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
 
 }  // namespace swarmfuzz::util

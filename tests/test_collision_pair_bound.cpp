@@ -2,12 +2,10 @@
 // a result: on every tick of randomized multi-tick trajectories, a check that
 // carries a PairDistanceBound returns exactly the event a fresh stateless
 // check() returns, on the dense path (10 drones) and the grid path (64
-// drones), serially and with 2 and 3 lanes. The carried slack itself must
-// not depend on the lane count. Whole simulator runs at sim_threads 1, 2 and
-// 3 must agree bit for bit.
+// drones). Whole simulator runs at sim_threads 1, 2 and 3 must agree bit for
+// bit.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -18,9 +16,8 @@
 #include "sim/collision.h"
 #include "sim/simulator.h"
 #include "swarm/flocking_system.h"
-#include "swarm/tick_context.h"
+#include "swarm/spatial_grid.h"
 #include "swarm/vasarhelyi.h"
-#include "util/worker_pool.h"
 
 namespace swarmfuzz::sim {
 namespace {
@@ -28,8 +25,8 @@ namespace {
 constexpr double kDt = 0.05;
 constexpr double kRadius = 0.3;
 
-// Drives one trajectory through a stateless check and three tracked checks
-// (1, 2 and 3 lanes, one bound each) tick by tick.
+// Drives one trajectory through a stateless check and a tracked check (one
+// carried bound) tick by tick.
 class PairBoundHarness {
  public:
   explicit PairBoundHarness(std::vector<Vec3> start, ObstacleField obstacles = {})
@@ -38,7 +35,7 @@ class PairBoundHarness {
   }
 
   [[nodiscard]] std::vector<DroneState>& states() { return states_; }
-  [[nodiscard]] const PairDistanceBound& bound() const { return bounds_[0]; }
+  [[nodiscard]] const PairDistanceBound& bound() const { return bound_; }
   [[nodiscard]] int events() const { return events_; }
   [[nodiscard]] int skipped() const { return skipped_; }
 
@@ -77,26 +74,19 @@ class PairBoundHarness {
       for (size_t i = 0; i < states_.size(); ++i) {
         max_step = std::max(max_step, (states_[i].position - prev[i]).norm());
       }
-      if (bounds_[0].slack > 2.0 * max_step + 1e-6) ++skipped_;
+      if (bound_.slack > 2.0 * max_step + 1e-6) ++skipped_;
     }
-    for (int lanes = 1; lanes <= 3; ++lanes) {
-      const size_t l = static_cast<size_t>(lanes - 1);
-      const swarm::TickExecutor exec{pools_[l], &contexts_[l]};
-      const std::optional<CollisionEvent> got =
-          monitor_.check(states_, prev, obstacles_, time_, exec, &bounds_[l]);
-      EXPECT_EQ(got.has_value(), want.has_value()) << "t=" << time_ << " lanes " << lanes;
-      if (got && want) {
-        EXPECT_EQ(got->kind, want->kind) << "t=" << time_;
-        EXPECT_EQ(got->drone, want->drone) << "t=" << time_;
-        EXPECT_EQ(got->other, want->other) << "t=" << time_;
-        EXPECT_EQ(got->time, want->time);
-      }
-      if (got) {
-        EXPECT_EQ(bounds_[l].slack, 0.0) << "an event disarms the bound";
-      }
-      // The lane-min reduction makes the carried slack independent of the
-      // lane count, bit for bit.
-      EXPECT_EQ(bounds_[l].slack, bounds_[0].slack) << "t=" << time_ << " lanes " << lanes;
+    const std::optional<CollisionEvent> got =
+        monitor_.check(states_, prev, obstacles_, time_, &bound_);
+    EXPECT_EQ(got.has_value(), want.has_value()) << "t=" << time_;
+    if (got && want) {
+      EXPECT_EQ(got->kind, want->kind) << "t=" << time_;
+      EXPECT_EQ(got->drone, want->drone) << "t=" << time_;
+      EXPECT_EQ(got->other, want->other) << "t=" << time_;
+      EXPECT_EQ(got->time, want->time);
+    }
+    if (got) {
+      EXPECT_EQ(bound_.slack, 0.0) << "an event disarms the bound";
     }
     if (want) ++events_;
     return want;
@@ -109,12 +99,7 @@ class PairBoundHarness {
   double time_ = 0.0;
   int events_ = 0;
   int skipped_ = 0;
-  std::array<PairDistanceBound, 3> bounds_{};
-  util::WorkerPool pool2_{2};
-  util::WorkerPool pool3_{3};
-  std::array<util::WorkerPool*, 3> pools_{nullptr, &pool2_, &pool3_};
-  std::array<swarm::TickContext, 3> contexts_{swarm::TickContext(1), swarm::TickContext(2),
-                                              swarm::TickContext(3)};
+  PairDistanceBound bound_;
 };
 
 // n drones on a jittered lattice of pitch `pitch` at cruise altitude.
