@@ -1,18 +1,15 @@
 #include "fuzz/corpus.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <map>
 #include <stdexcept>
 
 #include "fuzz/telemetry.h"
+#include "util/fileio.h"
 #include "util/json.h"
 #include "util/logging.h"
-#include "util/retry.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -191,38 +188,14 @@ CorpusEntry corpus_entry_from_json(std::string_view line) {
 }
 
 void save_corpus(const Corpus& corpus, const std::string& path) {
-  // Write-to-temp + atomic rename: a crash mid-save leaves the previous
-  // corpus intact, and no reader ever observes a half-written file. Retries
-  // route through the shared I/O retrier like every other durable write.
-  const std::string tmp = path + ".tmp";
-  util::io_retrier().run("save_corpus", [&] {
-    std::FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr) {
-      throw util::IoError("corpus: cannot open " + tmp + " for writing", errno);
-    }
-    bool ok = true;
-    for (const CorpusEntry& entry : corpus.entries()) {
-      std::string line = to_jsonl(entry);
-      line.push_back('\n');
-      ok = ok && std::fwrite(line.data(), 1, line.size(), file) == line.size();
-    }
-    ok = ok && std::fflush(file) == 0;
-    const int write_errno = errno;
-    const bool closed = std::fclose(file) == 0;
-    if (!ok) {
-      throw util::IoError("corpus: short write to " + tmp, write_errno);
-    }
-    if (!closed) {
-      throw util::IoError("corpus: cannot close " + tmp, errno);
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-      throw util::IoError("corpus: cannot rename " + tmp + " to " + path +
-                              ": " + ec.message(),
-                          ec.value());
-    }
-  });
+  // Atomic replace: a crash mid-save leaves the previous corpus intact, and
+  // no reader ever observes a half-written file.
+  std::string content;
+  for (const CorpusEntry& entry : corpus.entries()) {
+    content += to_jsonl(entry);
+    content.push_back('\n');
+  }
+  util::write_file_atomic(path, content);
 }
 
 std::vector<CorpusEntry> load_corpus(const std::string& path) {

@@ -395,8 +395,10 @@ void JsonlTelemetrySink::record(const TelemetryRecord& record) {
   std::string line = to_jsonl(record);
   line.push_back('\n');
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+      std::fflush(file_) != 0) {
+    throw util::IoError("telemetry: short write to " + path_, errno);
+  }
 }
 
 std::vector<JsonlLine> read_jsonl_lines(const std::string& path) {

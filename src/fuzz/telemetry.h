@@ -128,6 +128,7 @@ class JsonlTelemetrySink final : public TelemetrySink {
   JsonlTelemetrySink(const JsonlTelemetrySink&) = delete;
   JsonlTelemetrySink& operator=(const JsonlTelemetrySink&) = delete;
 
+  // Throws util::IoError (carrying errno) when the write or flush fails.
   void record(const TelemetryRecord& record) override;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "math/rng.h"
+#include "swarm/spatial_grid.h"
 #include "util/logging.h"
 
 namespace swarmfuzz::sim {
@@ -113,13 +114,14 @@ RunResult Simulator::run(const MissionSpec& mission, ControlSystem& control,
   World world(mission, config_.vehicle, config_.point_mass, config_.quadrotor);
   CollisionMonitor monitor(mission.drone_radius);
 
-  // Intra-tick worker pool, created on the first run that needs it.
-  // Missions below kSerialTickThreshold stay serial: the handoff would cost
-  // more than the scans. The pool is handed to the control system for the
-  // duration of the run and detached on every exit path. It is the tick's
-  // only handoff: the collision check runs serial (DESIGN.md §15).
+  // Intra-tick worker pool, created on the first run that needs it. Only
+  // the Vásárhelyi grid kernel uses it, so swarms the grid policy leaves on
+  // the dense path stay serial: there the handoff would cost more than the
+  // scans. The pool is handed to the control system for the duration of
+  // the run and detached on every exit path. It is the tick's only handoff:
+  // the collision check runs serial (DESIGN.md §15).
   util::WorkerPool* pool = nullptr;
-  if (n >= kSerialTickThreshold && sim_threads_ > 1) {
+  if (swarm::spatial_grid_wanted(n) && sim_threads_ > 1) {
     if (tick_pool_ == nullptr) {
       tick_pool_ = std::make_unique<util::WorkerPool>(sim_threads_);
     }

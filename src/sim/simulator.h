@@ -37,12 +37,6 @@ class StepObserver {
                        std::span<const DroneState> truth) = 0;
 };
 
-// Swarms below this size stay on the serial tick path: chunk handoff costs
-// more than a sub-32-drone pair scan, so paper-scale 5-15-drone missions pay
-// zero overhead. Deliberately equal to SpatialGridPolicy's default
-// min_drones — the parallel kernels only exist on the grid fast paths.
-inline constexpr int kSerialTickThreshold = 32;
-
 struct SimulationConfig {
   double dt = 0.05;               // control/physics step, s
   GpsConfig gps{.rate_hz = 20.0, .noise_stddev = 0.0};
@@ -66,13 +60,13 @@ struct SimulationConfig {
   // recorder and the objective math. 0 disables the magnitude envelope (the
   // non-finite checks stay on; they share the same comparison).
   double divergence_limit = 1e6;
-  // Intra-tick worker threads for the per-drone hot loops (controller batch
-  // kernels, lossless comm filtering). 0 = auto (all
-  // hardware threads, util::resolve_thread_budget); 1 (the default) =
-  // serial. Results are bit-identical
-  // for every value — static contiguous chunking preserves each drone's
-  // accumulation order (DESIGN.md §15) — and swarms below
-  // kSerialTickThreshold stay on the serial path regardless.
+  // Intra-tick worker threads for the Vásárhelyi grid kernel, the one
+  // per-drone loop that fans out to a pool. 0 = auto (all hardware threads,
+  // util::resolve_thread_budget); 1 (the default) = serial. Results are
+  // bit-identical for every value — static contiguous chunking preserves
+  // each drone's accumulation order (DESIGN.md §15) — and swarms the
+  // spatial-grid policy leaves on the dense path (swarm::spatial_grid_wanted)
+  // stay serial regardless.
   int sim_threads = 1;
 };
 

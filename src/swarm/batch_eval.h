@@ -23,42 +23,32 @@ namespace swarmfuzz::swarm {
 // culled drones contributed nothing to begin with — so the results are
 // bit-identical to whole-broadcast views, which it falls back to when the
 // grid is unwanted (small swarm, disabled policy) or invalid (non-finite
-// coordinates).
-//
-// A parallel `exec` chunks the per-drone loop across the tick pool; `eval`
-// must then be safe to call concurrently (the per-view controller kernels
-// are pure). The grid is built once by the calling thread and only read by
-// the lanes, and each drone's view is identical to the serial one, so the
-// results stay bit-identical for any thread count.
+// coordinates). Serial: the Vásárhelyi grid kernel is the only one that
+// fans a tick out to the pool (DESIGN.md §15).
 template <typename Eval>
 void evaluate_all_with_cutoff(const sim::WorldSnapshot& snapshot, double cutoff,
-                              std::span<math::Vec3> desired, Eval eval,
-                              const TickExecutor& exec = {}) {
+                              std::span<math::Vec3> desired, Eval eval) {
   const int n = snapshot.size();
   if (spatial_grid_wanted(n) && std::isfinite(cutoff) && cutoff > 0.0) {
-    TickContext& ctx =
-        exec.context != nullptr ? *exec.context : thread_tick_context();
+    TickContext& ctx = thread_tick_context();
     SpatialGrid& grid = ctx.grid();
     grid.build(std::span<const math::Vec3>(snapshot.gps_position),
                std::max(cutoff, 1e-3));
     if (grid.valid()) {
-      exec.for_range(n, [&](int begin, int end, int lane) {
-        std::vector<int>& cand = ctx.lane(lane).cand;
-        for (int i = begin; i < end; ++i) {
-          cand.clear();
-          grid.gather(snapshot.gps_position[static_cast<size_t>(i)], cutoff,
-                      cand);
-          // Self is always gathered (distance 0); locate its view position.
-          const auto it = std::lower_bound(cand.begin(), cand.end(), i);
-          if (it == cand.end() || *it != i) {
-            desired[static_cast<size_t>(i)] = eval(NeighborView(snapshot, i));
-            continue;
-          }
-          const int self_index = static_cast<int>(it - cand.begin());
-          desired[static_cast<size_t>(i)] =
-              eval(NeighborView(snapshot, cand, self_index));
+      std::vector<int>& cand = ctx.lane(0).cand;
+      for (int i = 0; i < n; ++i) {
+        cand.clear();
+        grid.gather(snapshot.gps_position[static_cast<size_t>(i)], cutoff, cand);
+        // Self is always gathered (distance 0); locate its view position.
+        const auto it = std::lower_bound(cand.begin(), cand.end(), i);
+        if (it == cand.end() || *it != i) {
+          desired[static_cast<size_t>(i)] = eval(NeighborView(snapshot, i));
+          continue;
         }
-      });
+        const int self_index = static_cast<int>(it - cand.begin());
+        desired[static_cast<size_t>(i)] =
+            eval(NeighborView(snapshot, cand, self_index));
+      }
       return;
     }
   }

@@ -66,49 +66,6 @@ NeighborView CommModel::filter_into(const sim::WorldSnapshot& broadcast,
   return NeighborView(broadcast, members, /*self_index=*/0);
 }
 
-NeighborView CommModel::filter_at(const sim::WorldSnapshot& broadcast,
-                                  int self_slot, std::vector<int>& members,
-                                  std::vector<int>& gather_scratch,
-                                  const SpatialGrid* grid) const {
-  if (config_.drop_probability > 0.0) {
-    throw std::logic_error(
-        "CommModel::filter_at requires drop_probability == 0");
-  }
-  const int n = broadcast.size();
-  if (self_slot < 0 || self_slot >= n) {
-    throw std::invalid_argument("CommModel: self_slot out of range");
-  }
-  members.clear();
-  members.push_back(self_slot);
-  const int self_id = broadcast.id[static_cast<size_t>(self_slot)];
-  const math::Vec3& self_pos =
-      broadcast.gps_position[static_cast<size_t>(self_slot)];
-
-  // Same accept test as filter_into() minus the (never-taken) loss draw:
-  // self is skipped by id equality so duplicate-id broadcasts filter the
-  // same way on both paths.
-  const auto accept = [&](int i) {
-    if (broadcast.id[static_cast<size_t>(i)] == self_id) return false;
-    // Negated > test, not <=: a NaN distance accepts on both paths.
-    return !(math::distance(broadcast.gps_position[static_cast<size_t>(i)],
-                            self_pos) > config_.range);
-  };
-
-  if (grid != nullptr && grid->valid() && grid->size() == n &&
-      std::isfinite(config_.range)) {
-    gather_scratch.clear();
-    grid->gather(self_pos, config_.range, gather_scratch);
-    for (const int i : gather_scratch) {
-      if (accept(i)) members.push_back(i);
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      if (accept(i)) members.push_back(i);
-    }
-  }
-  return NeighborView(broadcast, members, /*self_index=*/0);
-}
-
 sim::WorldSnapshot CommModel::filter(const sim::WorldSnapshot& broadcast,
                                      int self_id) {
   std::vector<int> members;

@@ -124,20 +124,6 @@ class CommModel {
                                          int self_id, std::vector<int>& members,
                                          const SpatialGrid* grid = nullptr);
 
-  // Pure (const, RNG-free) twin of filter_into() for the parallel comm path.
-  // Only legal when drop_probability == 0 (throws std::logic_error
-  // otherwise): with no loss, neither path consumes a bernoulli draw, so a
-  // const receiver-by-slot filter is bit-identical to filter_into() AND
-  // leaves the packet-loss stream untouched — which is what lets the tick
-  // pool filter many receivers concurrently against one shared grid. The
-  // receiver is addressed by broadcast slot (the hot loop already iterates
-  // slots); both scratch buffers are caller-owned so each lane brings its
-  // own and steady state stays allocation-free.
-  [[nodiscard]] NeighborView filter_at(const sim::WorldSnapshot& broadcast,
-                                       int self_slot, std::vector<int>& members,
-                                       std::vector<int>& gather_scratch,
-                                       const SpatialGrid* grid = nullptr) const;
-
   [[nodiscard]] const CommConfig& config() const noexcept { return config_; }
 
   // Packet-loss RNG snapshot/restore, for simulation checkpoints: restoring

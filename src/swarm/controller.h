@@ -67,7 +67,7 @@ class SwarmController {
   // each drone's accumulation order unchanged — DESIGN.md §15). The default
   // stays serial: it cannot assume an arbitrary controller's
   // desired_velocity is safe to call concurrently, so only overrides that
-  // guarantee it (all three in-tree controllers do) opt in.
+  // guarantee it opt in (in-tree, the Vásárhelyi grid path).
   virtual void desired_velocity_all(const WorldSnapshot& snapshot,
                                     const MissionSpec& mission,
                                     std::span<Vec3> desired,

@@ -23,7 +23,11 @@ void FlockingControlSystem::reset(const sim::MissionSpec& /*mission*/,
 
 void FlockingControlSystem::set_tick_pool(util::WorkerPool* pool) {
   tick_pool_ = pool;
-  tick_context_.resize_lanes(pool != nullptr ? pool->threads() : 1);
+  // Lanes only grow: unbinding at the end of a run keeps them, and with
+  // them the neighbour lists, for the next run on the same pool width.
+  if (pool != nullptr && pool->threads() > tick_context_.lanes()) {
+    tick_context_.resize_lanes(pool->threads());
+  }
 }
 
 void FlockingControlSystem::save_state(std::vector<std::uint64_t>& out) const {
@@ -48,14 +52,14 @@ void FlockingControlSystem::compute(const sim::WorldSnapshot& snapshot,
   if (static_cast<int>(desired.size()) != n) {
     throw std::invalid_argument("FlockingControlSystem: desired size mismatch");
   }
-  const TickExecutor exec{tick_pool_, &tick_context_};
   // Trivial communication (the paper's evaluation default): every view is
   // the whole broadcast and the zero drop probability consumes no packet-
   // loss randomness, so dispatching to the controller's batch entry point
   // is observationally identical to the per-drone loop below — including
   // the RNG stream — while letting the controller share work across drones.
   if (std::isinf(comm_.config().range) && comm_.config().drop_probability == 0.0) {
-    controller_->desired_velocity_all(snapshot, mission, desired, exec);
+    controller_->desired_velocity_all(snapshot, mission, desired,
+                                      TickExecutor{tick_pool_, &tick_context_});
     return;
   }
   // Range-limited communication: one spatial grid for the whole tick culls
@@ -68,31 +72,6 @@ void FlockingControlSystem::compute(const sim::WorldSnapshot& snapshot,
     comm_grid_.build(std::span<const Vec3>(snapshot.gps_position),
                      std::max(comm_.config().range, 1e-3));
     if (comm_grid_.valid()) grid = &comm_grid_;
-  }
-  // Lossless range-limited communication consumes no packet-loss draws on
-  // either path, so the per-receiver filter+evaluate loop can run on the
-  // tick pool via the pure filter_at(): each lane filters against the shared
-  // grid into its own member scratch and writes only its own desired slots.
-  // Gated on the canonical broadcast layout (drone id i at slot i, what the
-  // simulator emits) so filter_at's receiver-by-slot addressing resolves
-  // self exactly like filter_into's first-matching-id scan.
-  if (comm_.config().drop_probability == 0.0 && exec.parallel()) {
-    bool canonical = true;
-    for (int i = 0; i < n && canonical; ++i) {
-      canonical = snapshot.id[static_cast<size_t>(i)] == i;
-    }
-    if (canonical) {
-      exec.pool->parallel_for(n, [&](int begin, int end, int lane) {
-        PairScanScratch& s = tick_context_.lane(lane);
-        for (int i = begin; i < end; ++i) {
-          const NeighborView view =
-              comm_.filter_at(snapshot, i, s.members, s.cand, grid);
-          desired[static_cast<size_t>(i)] =
-              controller_->desired_velocity(view, mission);
-        }
-      });
-      return;
-    }
   }
   for (int i = 0; i < n; ++i) {
     const int id = snapshot.id[static_cast<size_t>(i)];

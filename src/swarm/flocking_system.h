@@ -29,8 +29,8 @@ class FlockingControlSystem final : public sim::ControlSystem {
                std::span<Vec3> desired) override;
 
   // Borrowed per-run tick pool: compute() hands it to the controller batch
-  // path and (for lossless range-limited comm) chunks the per-receiver
-  // filter loop across it. Results stay bit-identical for any pool size.
+  // path under trivial comm; range-limited comm filters serially. Results
+  // stay bit-identical for any pool size.
   void set_tick_pool(util::WorkerPool* pool) override;
 
   // Checkpoint hooks: the only mutable per-mission state is the comm

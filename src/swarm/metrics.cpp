@@ -14,8 +14,8 @@ namespace swarmfuzz::swarm {
 namespace {
 
 // Grid-accelerated smallest pairwise 3D distance. Exact, not approximate:
-// pass 1 finds an ACHIEVED distance M (each drone against a superset of its
-// nearest XY neighbours), pass 2 gathers every pair whose XY distance can be
+// pass 1 finds an ACHIEVED distance M (each drone against some other
+// drones near it), pass 2 gathers every pair whose XY distance can be
 // <= M — and since 3D distance >= XY distance, every pair at 3D distance
 // <= M is among them. min() over doubles is order-independent and each
 // candidate's distance comes from the same math::distance(i, j) call the
@@ -47,12 +47,16 @@ double grid_min_separation(std::span<const sim::DroneState> states) {
   grid.build(std::span<const math::Vec3>(pos), cell);
   if (!grid.valid()) return kInf;
 
+  // Pass 1: each drone against the first gather, at radii doubling from
+  // the cell size, that holds another drone besides itself (drone i is
+  // always gathered; n >= 2 and a radius spanning the grid returns all).
   double bound = kInf;
   for (int i = 0; i < n; ++i) {
-    cand.clear();
-    // min_dist 0 counts drone i itself (distance 0) toward k, hence k=2 to
-    // guarantee coverage of at least one other drone.
-    grid.gather_nearest(pos[static_cast<size_t>(i)], 2, 0.0, cand);
+    for (double r = cell;; r *= 2.0) {
+      cand.clear();
+      grid.gather(pos[static_cast<size_t>(i)], r, cand);
+      if (cand.size() >= 2) break;
+    }
     for (const int j : cand) {
       if (j == i) continue;
       bound = std::min(bound, math::distance(pos[static_cast<size_t>(i)],

@@ -106,14 +106,12 @@ Vec3 OlfatiSaberController::desired_velocity(const NeighborView& view,
   return v_des.clamped(params_.v_max);
 }
 
-void OlfatiSaberController::desired_velocity_all(const WorldSnapshot& snapshot,
-                                                 const MissionSpec& mission,
-                                                 std::span<Vec3> desired,
-                                                 const TickExecutor& exec) const {
+void OlfatiSaberController::desired_velocity_all(
+    const WorldSnapshot& snapshot, const MissionSpec& mission,
+    std::span<Vec3> desired, const TickExecutor& /*exec*/) const {
   evaluate_all_with_cutoff(
       snapshot, params_.r_factor * params_.d, desired,
-      [&](const NeighborView& view) { return desired_velocity(view, mission); },
-      exec);
+      [&](const NeighborView& view) { return desired_velocity(view, mission); });
 }
 
 double OlfatiSaberController::probe_influence_radius(

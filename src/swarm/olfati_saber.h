@@ -51,8 +51,8 @@ class OlfatiSaberController final : public SwarmController {
                                       const MissionSpec& mission) const override;
   // Bit-identical batch fast path: alpha interactions have a hard cutoff at
   // r_factor * d, so each drone is evaluated on a grid-culled view whose
-  // candidate superset provably contains every interacting neighbour. The
-  // per-view kernel is pure, so a parallel `exec` chunks the drone loop.
+  // candidate superset provably contains every interacting neighbour.
+  // Serial: `exec` is ignored (DESIGN.md §15).
   using SwarmController::desired_velocity_all;
   void desired_velocity_all(const WorldSnapshot& snapshot,
                             const MissionSpec& mission, std::span<Vec3> desired,

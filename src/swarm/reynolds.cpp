@@ -69,14 +69,12 @@ Vec3 ReynoldsController::desired_velocity(const NeighborView& view,
   return desired.clamped(params_.v_max);
 }
 
-void ReynoldsController::desired_velocity_all(const WorldSnapshot& snapshot,
-                                              const MissionSpec& mission,
-                                              std::span<Vec3> desired,
-                                              const TickExecutor& exec) const {
+void ReynoldsController::desired_velocity_all(
+    const WorldSnapshot& snapshot, const MissionSpec& mission,
+    std::span<Vec3> desired, const TickExecutor& /*exec*/) const {
   evaluate_all_with_cutoff(
       snapshot, params_.neighbour_radius, desired,
-      [&](const NeighborView& view) { return desired_velocity(view, mission); },
-      exec);
+      [&](const NeighborView& view) { return desired_velocity(view, mission); });
 }
 
 double ReynoldsController::probe_influence_radius(

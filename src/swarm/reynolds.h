@@ -37,7 +37,7 @@ class ReynoldsController final : public SwarmController {
   // Bit-identical batch fast path: all boids rules cut off at
   // neighbour_radius, so each drone is evaluated on a grid-culled view
   // whose candidate superset provably contains every interacting neighbour.
-  // The per-view kernel is pure, so a parallel `exec` chunks the drone loop.
+  // Serial: `exec` is ignored (DESIGN.md §15).
   using SwarmController::desired_velocity_all;
   void desired_velocity_all(const WorldSnapshot& snapshot,
                             const MissionSpec& mission, std::span<Vec3> desired,

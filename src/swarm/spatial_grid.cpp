@@ -8,18 +8,6 @@
 
 namespace swarmfuzz::swarm {
 
-namespace {
-
-// Padding of query radii (padded_radius) and coverage bounds. Relative
-// 1e-9 plus an absolute 1e-9 m dwarfs double rounding (~1e-16 relative) by
-// seven orders of magnitude while still pruning essentially nothing:
-// candidates an extra nanometre out are re-rejected by the caller's exact
-// test.
-constexpr double kRelPad = 1e-9;
-constexpr double kAbsPad = 1e-9;
-
-}  // namespace
-
 SpatialGridPolicy& spatial_grid_policy() noexcept {
   static SpatialGridPolicy policy;
   return policy;
@@ -192,69 +180,6 @@ void SpatialGrid::gather(const math::Vec3& center, double radius,
       word &= word - 1;
     }
   }
-}
-
-void SpatialGrid::gather_nearest(const math::Vec3& center, int k, double min_dist,
-                                 std::vector<int>& out) const {
-  if (!valid_) throw std::logic_error("SpatialGrid: gather_nearest on invalid grid");
-  const size_t start = out.size();
-  if (k <= 0) return;
-  const int cx = cell_x(center.x);
-  const int cy = cell_y(center.y);
-  // Candidates at distance below ~4*min_dist are not counted toward k: the
-  // caller's own qualifying test (dist >= min_dist, computed with its own
-  // rounding) may disagree with ours inside the boundary band, and
-  // undercounting only expands the search — overcounting could stop it
-  // before the true k-th qualifying neighbour is covered.
-  const double qualify_d2 = (4.0 * min_dist) * (4.0 * min_dist);
-  // Squared distances parallel to out[start..] for the per-shell recounts,
-  // computed once at push time from the contiguous slot coordinates.
-  thread_local std::vector<double> d2s;
-  d2s.clear();
-
-  for (int s = 0;; ++s) {
-    // Shell s: cells at Chebyshev distance exactly s from the centre cell
-    // (clamping by skip, so nothing is visited twice).
-    for (int dy = -s; dy <= s; ++dy) {
-      const int ucy = cy + dy;
-      if (ucy < 0 || ucy >= ny_) continue;
-      const size_t row = static_cast<size_t>(ucy) * static_cast<size_t>(nx_);
-      const bool edge_row = (dy == -s || dy == s);
-      const int step = edge_row ? 1 : 2 * s;
-      for (int dx = -s; dx <= s; dx += std::max(step, 1)) {
-        const int ucx = cx + dx;
-        if (ucx < 0 || ucx >= nx_) continue;
-        const size_t c = row + static_cast<size_t>(ucx);
-        const int begin = cell_start_[c];
-        const int end = cell_start_[c + 1];
-        for (int e = begin; e < end; ++e) {
-          const auto slot = static_cast<size_t>(e);
-          const double ddx = slot_x_[slot] - center.x;
-          const double ddy = slot_y_[slot] - center.y;
-          out.push_back(entries_[slot]);
-          d2s.push_back(ddx * ddx + ddy * ddy);
-        }
-      }
-    }
-
-    // Every point within `covered` of the centre lives in shells 0..s
-    // (cell-index offset <= floor(d/cell)+1), minus a generous fp margin.
-    // covered <= 0 still certifies exact-coincident candidates (d2 == 0).
-    // Candidates are recounted from scratch each shell — the covered radius
-    // grows, so earlier candidates can newly qualify; shells and candidate
-    // counts are both small, so the rescan is cheap.
-    const double covered = static_cast<double>(s) * cell_ * (1.0 - kRelPad) - kAbsPad;
-    const double covered2 = covered > 0.0 ? covered * covered : 0.0;
-    int qualifying_covered = 0;
-    for (const double d2 : d2s) {
-      if (d2 <= covered2 && d2 >= qualify_d2) ++qualifying_covered;
-    }
-    if (qualifying_covered >= k) break;
-
-    // All cells visited: the candidate set is the whole swarm.
-    if (s >= std::max(cx, nx_ - 1 - cx) && s >= std::max(cy, ny_ - 1 - cy)) break;
-  }
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
 }
 
 }  // namespace swarmfuzz::swarm

@@ -67,32 +67,11 @@ class SpatialGrid {
   [[nodiscard]] int size() const noexcept { return n_; }
   [[nodiscard]] double cell_size() const noexcept { return cell_; }
 
-  // Drone index stored in scan slot `slot` (0 <= slot < size()). Visiting
-  // drones in slot order makes consecutive queries spatially adjacent, so
-  // their neighbourhoods stay cache-hot. Every drone appears in exactly one
-  // slot; per-drone results are order-independent, so batch evaluations may
-  // iterate in slot order and remain bit-identical.
-  [[nodiscard]] int ordered(int slot) const noexcept {
-    return entries_[static_cast<size_t>(slot)];
-  }
-
   // Appends to `out` (which is NOT cleared) every index whose XY distance
   // to `center` could be <= radius — a conservative superset, in ascending
   // index order. Candidates whose XY distance provably exceeds the padded
   // radius are pre-rejected on squared distance (no sqrt).
   void gather(const math::Vec3& center, double radius, std::vector<int>& out) const;
-
-  // Appends to `out` a superset of the k nearest indices to `center` by XY
-  // distance, counting only candidates at XY distance >= min_dist toward k
-  // (pass the caller's coincidence threshold, or 0 to count every drone —
-  // note the query point itself, if indexed, is then a distance-0
-  // candidate). Guarantee: if the returned set is smaller than the whole
-  // grid, it contains EVERY index whose XY distance is <= the k-th smallest
-  // qualifying distance, so any selection of the k nearest (with any tie
-  // rule) over the returned candidates equals the selection over all
-  // drones. Ascending index order, `out` not cleared.
-  void gather_nearest(const math::Vec3& center, int k, double min_dist,
-                      std::vector<int>& out) const;
 
  private:
   [[nodiscard]] int cell_x(double x) const noexcept;

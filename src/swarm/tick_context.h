@@ -35,8 +35,6 @@ namespace swarmfuzz::swarm {
 struct PairScanScratch {
   std::vector<std::pair<double, math::Vec3>> neighbours;  // (dist, self-other)
   std::vector<int> cand;          // grid gather output
-  std::vector<int> cand_near;     // gather_nearest output
-  std::vector<int> members;       // comm-filter member slots
   std::vector<int> contributors;  // per-drone counters (dense batch path)
   std::vector<double> dist;       // pairwise distance cache (dense batch path)
   std::vector<math::Vec3> vec_a;  // per-drone Vec3 accumulator (dense path)
@@ -99,8 +97,8 @@ class TickContext {
 
 // Borrowed pool + context handed down the batch entry points. Default
 // (both null) = serial with the thread-local fallback context. parallel()
-// is the single gate every kernel checks: a pool with real workers AND a
-// context with a scratch lane for each of them.
+// is the gate the Vásárhelyi grid kernel checks: a pool with real workers
+// AND a context with a scratch lane for each of them.
 struct TickExecutor {
   util::WorkerPool* pool = nullptr;
   TickContext* context = nullptr;

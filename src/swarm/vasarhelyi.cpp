@@ -171,7 +171,7 @@ inline void average_friction(Terms& terms, int contributors) {
 
 // Scratch comes from the shared per-tick context (swarm/tick_context.h):
 // PairScanScratch fields used here are `neighbours` (dist, self-other),
-// `cand`/`cand_near` (grid gathers), `list`/`list_off` (the grid path's
+// `cand` (grid gathers), `list`/`list_off` (the grid path's
 // neighbour lists), and on the dense batch path `dist`
 // (row-major n*n pairwise cache), `vec_a` (repulsion accumulators), `vec_b`
 // (friction accumulators) and `contributors`. Serial callers borrow
@@ -573,16 +573,17 @@ double VasarhelyiController::probe_influence_radius(
     SpatialGrid& grid = ctx.grid();
     PairScanScratch& s = ctx.lane(0);
     const std::vector<Vec3>& pos = snapshot.gps_position;
+    const double r_start = std::max(params_.r0_att, 1e-3);
     const bool use_grid = spatial_grid_wanted(n);
-    if (use_grid) {
-      grid.build(std::span<const Vec3>(pos), std::max(params_.r0_att, 1e-3));
-    }
+    if (use_grid) grid.build(std::span<const Vec3>(pos), r_start);
     const bool grid_ok = use_grid && grid.valid();
     for (int i = 0; i < n; ++i) {
       const Vec3& self_pos = pos[static_cast<size_t>(i)];
-      // Qualifying distances from i, via the grid's k-nearest superset when
-      // available (it provably contains the true k_att nearest) or the full
-      // scan otherwise.
+      // Qualifying distances from i, over the full scan or, on the grid,
+      // over gathers at doubling radii r. The doubling stops on the grid
+      // path's straggler certificate: once k_att qualifying candidates lie
+      // within r, the k_att-th nearest distance is at most r and every
+      // drone that near is a candidate — or the gather returned all n.
       s.neighbours.clear();
       const auto consider = [&](int j) {
         if (j == i) return;
@@ -592,9 +593,18 @@ double VasarhelyiController::probe_influence_radius(
         s.neighbours.emplace_back(dist, diff);
       };
       if (grid_ok) {
-        s.cand_near.clear();
-        grid.gather_nearest(self_pos, params_.k_att, 1e-9, s.cand_near);
-        for (const int j : s.cand_near) consider(j);
+        for (double r = r_start;; r *= 2.0) {
+          s.cand.clear();
+          grid.gather(self_pos, r, s.cand);
+          s.neighbours.clear();
+          for (const int j : s.cand) consider(j);
+          const auto within_r =
+              std::count_if(s.neighbours.begin(), s.neighbours.end(),
+                            [r](const auto& e) { return e.first <= r; });
+          if (within_r >= params_.k_att || static_cast<int>(s.cand.size()) == n) {
+            break;
+          }
+        }
       } else {
         for (int j = 0; j < n; ++j) consider(j);
       }

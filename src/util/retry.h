@@ -78,7 +78,7 @@ class IoRetrier {
   // Runs `fn`, retrying on transient IoError with backoff as described in
   // the file header. Rethrows the final IoError on a permanent errno or on
   // attempt exhaustion. `op` names the operation class ("append_jsonl",
-  // "save_corpus", ...) and seeds its backoff jitter.
+  // "write_file_atomic", ...) and seeds its backoff jitter.
   template <typename Fn>
   auto run(std::string_view op, Fn&& fn) -> decltype(fn()) {
     for (int attempt = 1;; ++attempt) {

@@ -10,6 +10,7 @@
 // reuse tick, a displacement just under and just over the rebuild rule).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -105,17 +106,23 @@ class ReuseCounter final : public SwarmController {
                             const TickExecutor& exec) const override {
     inner_.desired_velocity_all(snapshot, mission, desired, exec);
     TickContext& ctx = exec.context != nullptr ? *exec.context : thread_tick_context();
-    ++(ctx.neighbour_lists().pos0 == snapshot.gps_position ? rebuilds_ : reuses_);
+    reused_.push_back(ctx.neighbour_lists().pos0 != snapshot.gps_position);
   }
   [[nodiscard]] std::string_view name() const noexcept override { return inner_.name(); }
 
-  [[nodiscard]] int reuses() const { return reuses_; }
-  [[nodiscard]] int rebuilds() const { return rebuilds_; }
+  [[nodiscard]] int ticks() const { return static_cast<int>(reused_.size()); }
+  [[nodiscard]] int reuses() const {
+    return static_cast<int>(std::count(reused_.begin(), reused_.end(), true));
+  }
+  [[nodiscard]] int rebuilds() const { return ticks() - reuses(); }
+  // Whether batch tick `tick` (counted from the first) reused the lists.
+  [[nodiscard]] bool reused(int tick) const {
+    return reused_.at(static_cast<size_t>(tick));
+  }
 
  private:
   VasarhelyiController inner_;
-  mutable int reuses_ = 0;
-  mutable int rebuilds_ = 0;
+  mutable std::vector<bool> reused_;
 };
 
 // Grid-on runs of one control system, whose controller counts list reuse.
@@ -146,17 +153,17 @@ TEST(NeighbourList, BackToBackMissionsMatchDense) {
   }
 }
 
+class VectorSink final : public sim::CheckpointSink {
+ public:
+  void on_checkpoint(sim::SimulationCheckpoint&& checkpoint) override {
+    checkpoints.push_back(std::move(checkpoint));
+  }
+  std::vector<sim::SimulationCheckpoint> checkpoints;
+};
+
 TEST(NeighbourList, CheckpointResumeMatchesDense) {
   const sim::MissionSpec mission = swarm_mission(73);
   const sim::RunResult want = dense_run(mission);
-
-  class VectorSink final : public sim::CheckpointSink {
-   public:
-    void on_checkpoint(sim::SimulationCheckpoint&& checkpoint) override {
-      checkpoints.push_back(std::move(checkpoint));
-    }
-    std::vector<sim::SimulationCheckpoint> checkpoints;
-  };
 
   for (int threads = 1; threads <= 3; ++threads) {
     SCOPED_TRACE(testing::Message() << "sim_threads " << threads);
@@ -183,6 +190,35 @@ TEST(NeighbourList, CheckpointResumeMatchesDense) {
     expect_same_run(sim.run_from(mid, full.recorder, mission, system), want);
     counted.expect_reuse_and_rebuild();
     EXPECT_GT(counted.counter->reuses(), reuses);
+  }
+}
+
+// A threaded prefix flight to a checkpoint leaves the lists at the
+// checkpoint's positions; unbinding the pool at the end of that run must
+// keep them, so the run_from that checkpoint reuses them on its first batch
+// tick.
+TEST(NeighbourList, ResumeAfterThreadedPrefixReusesLists) {
+  const sim::MissionSpec mission = swarm_mission(77);
+  const sim::RunResult want = dense_run(mission);
+  for (int threads = 1; threads <= 3; ++threads) {
+    SCOPED_TRACE(testing::Message() << "sim_threads " << threads);
+    const sim::Simulator sim = simulator(threads);
+    CountedSystem counted;
+    VectorSink sink;
+    sim::RunHooks hooks;
+    hooks.checkpoints = &sink;
+    hooks.checkpoint_period = 2.0;
+    const sim::RunResult full = sim.run(mission, counted.system, hooks);
+    ASSERT_GE(sink.checkpoints.size(), 2u);
+    const sim::SimulationCheckpoint& mid = sink.checkpoints[sink.checkpoints.size() / 2];
+
+    sim::MissionSpec prefix = mission;
+    prefix.max_time = mid.time;
+    (void)sim.run(prefix, counted.system);
+    const int first = counted.counter->ticks();
+    expect_same_run(sim.run_from(mid, full.recorder, mission, counted.system), want);
+    ASSERT_GT(counted.counter->ticks(), first);
+    EXPECT_TRUE(counted.counter->reused(first));
   }
 }
 

@@ -366,7 +366,7 @@ TEST(ParallelTickAllocation, SteadyStateThreadedComputeDoesNotAllocate) {
       std::make_shared<swarm::VasarhelyiController>(), swarm::CommConfig{});
   batch.reset(mission, 123);
   batch.set_tick_pool(&pool);
-  // Lossless range-limited comm exercises the parallel filter_at() path.
+  // Lossless range-limited comm: the serial filter_into() path, pool bound.
   swarm::FlockingControlSystem filtered(
       std::make_shared<swarm::VasarhelyiController>(),
       swarm::CommConfig{.range = 40.0, .drop_probability = 0.0});

@@ -111,47 +111,6 @@ TEST(SpatialGrid, GatherIsSupersetAcrossRandomGeometries) {
   }
 }
 
-TEST(SpatialGrid, GatherNearestCoversTheKNearest) {
-  math::Rng rng(777);
-  for (int trial = 0; trial < 40; ++trial) {
-    const int n = rng.uniform_int(1, 50);
-    const double spread = rng.uniform(0.5, 150.0);
-    const double cell = rng.uniform(0.05, 40.0);
-    const int k = rng.uniform_int(1, 8);
-    const double min_dist = rng.bernoulli(0.5) ? 0.0 : 1e-9;
-    const auto pos = random_positions(rng, n, spread);
-
-    swarm::SpatialGrid grid;
-    grid.build(std::span<const math::Vec3>(pos), cell);
-    ASSERT_TRUE(grid.valid());
-
-    std::vector<int> cand;
-    for (int i = 0; i < n; ++i) {
-      cand.clear();
-      grid.gather_nearest(pos[static_cast<size_t>(i)], k, min_dist, cand);
-      expect_sorted_unique(cand);
-      if (static_cast<int>(cand.size()) >= n) continue;  // whole grid: trivially safe
-
-      // k-th smallest qualifying XY distance, brute force.
-      std::vector<double> qualifying;
-      for (int j = 0; j < n; ++j) {
-        const double d =
-            math::distance_xy(pos[static_cast<size_t>(i)], pos[static_cast<size_t>(j)]);
-        if (d >= min_dist) qualifying.push_back(d);
-      }
-      std::sort(qualifying.begin(), qualifying.end());
-      if (static_cast<int>(qualifying.size()) < k) {
-        // Fewer than k qualifying drones exist: the grid must have returned
-        // everything, contradicting the size check above.
-        FAIL() << "gather_nearest returned a strict subset with < k qualifying";
-      }
-      const double dk = qualifying[static_cast<size_t>(k - 1)];
-      // Every index at distance <= dk must be present.
-      expect_superset(cand, brute_in_range(pos, pos[static_cast<size_t>(i)], dk));
-    }
-  }
-}
-
 TEST(SpatialGrid, DegenerateGeometries) {
   swarm::SpatialGrid grid;
   std::vector<int> cand;
@@ -166,18 +125,13 @@ TEST(SpatialGrid, DegenerateGeometries) {
     EXPECT_EQ(cand, (std::vector<int>{0, 1, 2}));
   }
 
-  // Fully coincident positions: every query must return all of them; the
-  // nearest query with a coincidence threshold must still return everything
-  // it can rather than spin.
+  // Fully coincident positions: every query must return all of them.
   {
     std::vector<math::Vec3> pos(5, math::Vec3{3.0, -4.0, 10.0});
     grid.build(std::span<const math::Vec3>(pos), 1.0);
     ASSERT_TRUE(grid.valid());
     cand.clear();
     grid.gather(pos[0], 0.0, cand);
-    EXPECT_EQ(cand, (std::vector<int>{0, 1, 2, 3, 4}));
-    cand.clear();
-    grid.gather_nearest(pos[0], 2, 1e-9, cand);
     EXPECT_EQ(cand, (std::vector<int>{0, 1, 2, 3, 4}));
   }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <thread>
 
 #include "fuzz/campaign.h"
+#include "util/retry.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -326,6 +328,21 @@ TEST(Telemetry, SinkWritesOneLinePerRecord) {
   EXPECT_EQ(records[0].mission_index, 7);
   EXPECT_EQ(records[1].mission_index, 8);
   std::remove(path.c_str());
+}
+
+// A record the device refuses (ENOSPC on /dev/full, at the flush) must
+// throw, not vanish; the campaign worker's catch then stops the campaign.
+// Opened with append=false only: appending first heals the torn tail, which
+// would read /dev/full's endless stream of zeros.
+TEST(Telemetry, SinkWriteFailureThrowsIoError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  JsonlTelemetrySink sink("/dev/full", /*append=*/false);
+  try {
+    sink.record(sample_record());
+    FAIL() << "record() on a full device returned normally";
+  } catch (const util::IoError& e) {
+    EXPECT_EQ(e.code(), ENOSPC) << e.what();
+  }
 }
 
 TEST(Telemetry, SinkIsThreadSafe) {

@@ -3,7 +3,8 @@
 // desired_velocity bit for bit — on snapshots recorded from real clean and
 // spoofed 10-drone runs, on hand-built edge cases, and for every k_att from
 // 0 to the cap — and its top-k attraction selection (NearestK) must pick
-// exactly what a stable sort by distance picks.
+// exactly what a stable sort by distance picks. probe_influence_radius
+// must agree between its grid and full-scan paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,6 +205,49 @@ TEST(VasarhelyiKernel, NonFiniteVelocityMatchesPerView) {
       expect_dense_matches_per_view(VasarhelyiController(params), snapshot, mission);
     }
   }
+}
+
+// probe_influence_radius takes the k_att-th nearest distance from doubling
+// grid gathers on large swarms and from the full scan otherwise; both must
+// give the same bits. Random swarms over a wide range of sizes, spreads and
+// k_att, with ~10% of drones on (or within 1e-9 m of) another's fix and an
+// occasional far straggler.
+TEST(VasarhelyiKernel, ProbeInfluenceRadiusGridMatchesDense) {
+  const SpatialGridPolicy saved = spatial_grid_policy();
+  const MissionSpec mission = open_mission();
+  math::Rng rng(2305);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = rng.uniform_int(1, 160);
+    const double spread = rng.uniform(1.0, 600.0);
+    WorldSnapshot snapshot;
+    for (int i = 0; i < n; ++i) {
+      Vec3 position{rng.uniform(-spread, spread), rng.uniform(-spread, spread),
+                    rng.uniform(8.0, 12.0)};
+      if (i > 0 && rng.bernoulli(0.1)) {
+        const Vec3& other = snapshot.gps_position[static_cast<size_t>(
+            rng.uniform_int(0, i - 1))];
+        position.x = other.x + (rng.bernoulli(0.5) ? 0.0 : 5e-10);
+        position.y = other.y;
+      } else if (rng.bernoulli(0.02)) {
+        position.x += 10.0 * spread;
+      }
+      snapshot.push_back({i, position,
+                          Vec3{rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), 0.0}});
+    }
+    for (const int k : {0, 1, 3, 7, 16}) {
+      VasarhelyiParams params;
+      params.k_att = k;
+      const VasarhelyiController controller(params);
+      spatial_grid_policy() = {.enabled = true, .min_drones = 1};
+      const double grid = controller.probe_influence_radius(snapshot, mission);
+      spatial_grid_policy() = {.enabled = false, .min_drones = 1};
+      const double dense = controller.probe_influence_radius(snapshot, mission);
+      EXPECT_TRUE(same_bits(grid, dense))
+          << "trial " << trial << " n " << n << " k_att " << k << ": " << grid
+          << " vs " << dense;
+    }
+  }
+  spatial_grid_policy() = saved;
 }
 
 // The pre-NearestK selection, kept as an independent oracle: an insertion

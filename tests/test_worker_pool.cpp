@@ -255,7 +255,7 @@ class GridPolicyScope {
   swarm::SpatialGridPolicy saved_;
 };
 
-// 40 drones: above kSerialTickThreshold so the pool actually engages, small
+// 40 drones: above the spatial-grid min_drones so the pool engages, small
 // enough that four full missions per test stay fast. max_time is shortened —
 // determinism must hold at every tick, so a prefix of the mission is as
 // strong a check as the whole and much cheaper.
@@ -336,16 +336,15 @@ TEST(ParallelTick, PointMassTrivialComm) {
   run_thread_equivalence(sim::VehicleType::kPointMass, {});
 }
 
-// drop_probability = 0 with finite range takes the parallel filter_at()
-// communication path (no RNG draws on either path).
+// drop_probability = 0 with finite range: the serial filter_into() loop,
+// with the pool bound for the run.
 TEST(ParallelTick, PointMassLosslessRangeLimited) {
   run_thread_equivalence(sim::VehicleType::kPointMass,
                          {.range = 40.0, .drop_probability = 0.0});
 }
 
-// drop_probability > 0 keeps communication serial (receiver-order bernoulli
-// draws) while the controller batch and collision scans still parallelize —
-// this pins the mixed serial/parallel tick and the RNG stream alignment.
+// drop_probability > 0: receiver-order bernoulli draws in the serial filter
+// loop with the pool bound — this pins the RNG stream alignment.
 TEST(ParallelTick, PointMassRangeLimitedWithDrop) {
   run_thread_equivalence(sim::VehicleType::kPointMass,
                          {.range = 40.0, .drop_probability = 0.15});
