@@ -90,7 +90,7 @@ fuzz::CampaignConfig campaign_config_from(const util::Options& options) {
   // Fault containment: --mission-timeout bounds one mission's wall clock,
   // --eval-max-steps bounds each simulation's ticks; tripping either (or any
   // exception) retries the mission with a salted seed up to
-  // --max-fault-retries times before it is quarantined.
+  // --max-fault-retries times before it is recorded as faulted.
   config.fuzzer.mission_timeout_s = options.get_double("mission-timeout", 0.0);
   config.fuzzer.eval_max_steps = options.get_int("eval-max-steps", 0);
   // E_Fuzz knobs (outcome-affecting, so they enter the config hash; inert
@@ -224,11 +224,6 @@ int cmd_campaign(const util::Options& options) {
   // records to a separate file (useful when the checkpoint is per-run).
   config.checkpoint_path = options.get("checkpoint", "");
   config.resume = options.get_bool("resume", false);
-  // Quarantine defaults to riding alongside the checkpoint.
-  config.quarantine_path =
-      options.get("quarantine", config.checkpoint_path.empty()
-                                    ? ""
-                                    : config.checkpoint_path + ".quarantine");
   std::unique_ptr<fuzz::JsonlTelemetrySink> telemetry;
   const std::string telemetry_path = options.get("telemetry", "");
   if (!telemetry_path.empty()) {
@@ -303,9 +298,6 @@ int cmd_campaign(const util::Options& options) {
         result.fault_count(sim::FaultKind::kTimeout),
         result.fault_count(sim::FaultKind::kException),
         result.fault_count(sim::FaultKind::kCleanRunFailed));
-    if (!config.quarantine_path.empty()) {
-      std::printf("  quarantine        %s\n", config.quarantine_path.c_str());
-    }
   }
   return 0;
 }
@@ -404,8 +396,10 @@ int print_usage() {
       "  campaign   evaluate a configuration over many missions\n"
       "             [--threads=N] (mission workers, 0 = all cores)\n"
       "             [--checkpoint=FILE [--resume]] (one CRC-framed record per\n"
-      "             mission; a killed campaign re-run with --resume runs only\n"
-      "             the missing missions) [--telemetry=FILE]\n"
+      "             mission, faulted ones included; a killed campaign re-run\n"
+      "             with --resume runs only the missing missions, and refuses\n"
+      "             a checkpoint from another configuration)\n"
+      "             [--telemetry=FILE] (the same records; may be /dev/stdout)\n"
       "             [--progress=false] [--no-prefix-reuse] [--checkpoint-period=S]\n"
       "             [--eval-threads=N] [--sim-threads=N] (per-worker budget;\n"
       "             0 = auto-split so workers x eval x sim <= hardware)\n"
@@ -413,8 +407,7 @@ int print_usage() {
       "             fault containment: [--mission-timeout=S] (wall-clock budget\n"
       "             per mission) [--eval-max-steps=N] (sim-step budget per\n"
       "             evaluation) [--max-fault-retries=N] (salted re-runs before\n"
-      "             quarantine, default 2) [--fail-fast] [--quarantine=FILE]\n"
-      "             (default <checkpoint>.quarantine)\n"
+      "             a mission is recorded as faulted, default 2) [--fail-fast]\n"
       "             [--fault-inject=mode@idx[:t][xN],...] (nan|throw|hang; test\n"
       "             hook, also read from SWARMFUZZ_FAULT_INJECT)\n"
       "             [--novelty-bins=N] [--evo-batch=N] [--max-corpus=N]\n"
@@ -451,7 +444,7 @@ constexpr std::string_view kFuzzFlags[] = {
     "mission-timeout", "eval-max-steps", "eval-threads", "novelty-bins",
     "evo-batch", "max-corpus", "corpus-dir", "fuzzer", "controller", "json"};
 constexpr std::string_view kCampaignOnlyFlags[] = {
-    "checkpoint", "resume", "quarantine", "telemetry", "progress", "summary", "json"};
+    "checkpoint", "resume", "telemetry", "progress", "summary", "json"};
 constexpr std::string_view kSvgFlags[] = {"controller", "distance"};
 constexpr std::string_view kReplayFlags[] = {"target", "direction", "start",
                                              "duration", "distance", "controller",

@@ -9,9 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <stdexcept>
-#include <tuple>
 
 #include "util/logging.h"
 #include "util/options.h"
@@ -295,7 +293,10 @@ std::string campaign_config_hash(const CampaignConfig& config) {
     return std::string{buffer};
   };
   add("kind", std::string{fuzzer_kind_name(config.kind)});
-  add("missions", std::to_string(config.num_missions));
+  // make_fuzzer's default controller when no factory is set.
+  add("controller", config.controller_factory
+                        ? std::string{config.controller_factory()->name()}
+                        : std::string{"vasarhelyi"});
   add("base_seed", std::to_string(config.base_seed));
   add("clean_retries", std::to_string(config.clean_failure_retries));
   add("fault_retries", std::to_string(config.max_fault_retries));
@@ -321,6 +322,11 @@ std::string campaign_config_hash(const CampaignConfig& config) {
   add("init_dur", exact(f.initial_duration));
   add("dt", exact(f.sim.dt));
   add("noise_seed", std::to_string(f.sim.noise_seed));
+  add("vehicle", std::to_string(static_cast<int>(f.sim.vehicle)));
+  add("gps", exact(f.sim.gps.rate_hz) + ":" + exact(f.sim.gps.noise_stddev));
+  add("nav_filter", std::to_string(f.sim.use_navigation_filter));
+  add("centrality", std::to_string(static_cast<int>(f.seeds.centrality)));
+  add("eval_max_steps", std::to_string(f.eval_max_steps));
   // E_Fuzz knobs: every field except corpus_dir changes search outcomes
   // (corpus_dir is a persistence location, like checkpoint_path — excluded).
   const EvolutionConfig& e = f.evolution;
@@ -420,15 +426,25 @@ namespace {
 
 // Checks a checkpoint record against the campaign it is being replayed into;
 // throws std::runtime_error when the record cannot belong to this
-// configuration (index out of range, wrong fuzzer, or a seed that does not
-// derive from the campaign base seed), so a resume never fabricates results
-// from a foreign file.
+// configuration (index out of range, a missing or different config hash,
+// wrong fuzzer, or a seed that does not derive from the campaign base seed),
+// so a resume never fabricates results from a foreign file.
 void validate_checkpoint_record(const TelemetryRecord& record,
-                                const CampaignConfig& config) {
+                                const CampaignConfig& config,
+                                const std::string& config_hash) {
   if (record.mission_index < 0 || record.mission_index >= config.num_missions) {
     throw std::runtime_error(
         "checkpoint: mission index " + std::to_string(record.mission_index) +
         " outside campaign of " + std::to_string(config.num_missions));
+  }
+  if (record.config_hash != config_hash) {
+    throw std::runtime_error(
+        "checkpoint: mission " + std::to_string(record.mission_index) +
+        " record's \"config\" is " +
+        (record.config_hash.empty() ? "missing (an older version wrote it)"
+                                    : record.config_hash) +
+        ", this campaign's is " + config_hash +
+        " (another configuration? start a fresh checkpoint)");
   }
   if (record.fuzzer != fuzzer_kind_name(config.kind)) {
     throw std::runtime_error("checkpoint: fuzzer '" + record.fuzzer +
@@ -465,10 +481,12 @@ MissionOutcome outcome_from_record(const TelemetryRecord& record) {
 }
 
 TelemetryRecord record_from_outcome(const CampaignConfig& config,
+                                    const std::string& config_hash,
                                     const MissionOutcome& outcome) {
   TelemetryRecord record;
   record.mission_index = outcome.mission_index;
   record.fuzzer = std::string{fuzzer_kind_name(config.kind)};
+  record.config_hash = config_hash;
   record.mission_seed = outcome.mission_seed;
   record.wall_time_s = outcome.wall_time_s;
   record.result = outcome.result;
@@ -477,55 +495,6 @@ TelemetryRecord record_from_outcome(const CampaignConfig& config,
   record.fault_attempts = outcome.fault_attempts;
   return record;
 }
-
-// A campaign's quarantine file. add() appends one QuarantineRecord per
-// terminally faulted mission, deduplicated against the records already in
-// the file, so a mission re-run after a resume never quarantines twice. Not
-// thread-safe.
-class QuarantineLog {
- public:
-  // Loads the existing records of `path`; an empty path disables the log.
-  QuarantineLog(const CampaignConfig& config, std::string path)
-      : path_(std::move(path)),
-        fuzzer_(fuzzer_kind_name(config.kind)),
-        config_hash_(campaign_config_hash(config)) {
-    if (path_.empty()) return;
-    for (const QuarantineRecord& record : load_quarantine(path_)) {
-      recorded_.emplace(record.config_hash, record.mission_seed,
-                        record.mission_index);
-    }
-  }
-
-  // Appends `outcome` when it is faulted and not yet recorded. A write
-  // failure is logged, not thrown: quarantine is observability, and losing
-  // a record must not lose the campaign.
-  void add(const MissionOutcome& outcome) {
-    if (path_.empty() || outcome.fault == sim::FaultKind::kNone ||
-        !recorded_.emplace(config_hash_, outcome.mission_seed, outcome.mission_index)
-             .second) {
-      return;
-    }
-    QuarantineRecord record;
-    record.mission_index = outcome.mission_index;
-    record.fuzzer = fuzzer_;
-    record.mission_seed = outcome.mission_seed;
-    record.config_hash = config_hash_;
-    record.fault = outcome.fault;
-    record.detail = outcome.fault_detail;
-    record.attempts = outcome.fault_attempts;
-    try {
-      append_jsonl_line(path_, to_jsonl(record));
-    } catch (const std::exception& e) {
-      SWARMFUZZ_ERROR("campaign: cannot write quarantine record: {}", e.what());
-    }
-  }
-
- private:
-  std::string path_;
-  std::string fuzzer_;
-  std::string config_hash_;
-  std::set<std::tuple<std::string, std::uint64_t, int>> recorded_;
-};
 
 }  // namespace
 
@@ -671,6 +640,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // Replay the checkpoint, then reopen it truncated and re-emit the records
   // we kept: this normalizes away torn trailing lines and duplicates while
   // preserving crash safety for the missions that follow.
+  const std::string config_hash = campaign_config_hash(config);
   int resumed = 0;
   std::unique_ptr<JsonlTelemetrySink> checkpoint;
   if (!config.checkpoint_path.empty()) {
@@ -681,7 +651,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     // Validate every record before truncating the file: a checkpoint from a
     // different campaign must be rejected with its contents intact.
     for (const TelemetryRecord& record : records) {
-      validate_checkpoint_record(record, config);
+      validate_checkpoint_record(record, config, config_hash);
     }
     checkpoint = std::make_unique<JsonlTelemetrySink>(config.checkpoint_path,
                                                       /*append=*/false);
@@ -720,11 +690,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   }
   std::mutex observer_mutex;  // serializes checkpoint order + progress callbacks
 
-  // Quarantine is append-only across resumes: a mission whose checkpoint
-  // line was lost (torn tail, deleted file) re-runs and would re-quarantine
-  // without the log's dedup against the existing file.
-  QuarantineLog quarantine(config, config.quarantine_path);
-
   // The mission workers are the lanes of one pool, claiming missions in
   // index order. One runner (and thus one fuzzer) per lane: fuzzers are
   // stateful but mission outcomes only depend on per-mission seeds, so
@@ -752,10 +717,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
       {
         const std::lock_guard<std::mutex> lock(observer_mutex);
-        const TelemetryRecord record = record_from_outcome(config, outcome);
+        const TelemetryRecord record =
+            record_from_outcome(config, config_hash, outcome);
         if (checkpoint) checkpoint->record(record);
         if (config.telemetry) config.telemetry->record(record);
-        quarantine.add(outcome);
         if (config.on_progress) {
           CampaignProgress progress;
           progress.completed = done;
@@ -797,15 +762,12 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   if (result.num_faulted() > 0) {
     SWARMFUZZ_WARN(
         "campaign [{}]: faults — {} divergence, {} timeout, {} exception, {} "
-        "clean-run failed{}",
+        "clean-run failed",
         fuzzer_kind_name(config.kind),
         result.fault_count(sim::FaultKind::kNumericalDivergence),
         result.fault_count(sim::FaultKind::kTimeout),
         result.fault_count(sim::FaultKind::kException),
-        result.fault_count(sim::FaultKind::kCleanRunFailed),
-        config.quarantine_path.empty()
-            ? ""
-            : std::string{"; quarantined to "} + config.quarantine_path);
+        result.fault_count(sim::FaultKind::kCleanRunFailed));
   }
   return result;
 }

@@ -8,15 +8,17 @@
 // The single exception is MissionOutcome::wall_time_s, which is measured.
 //
 // Durability: when `checkpoint_path` is set, every completed mission is
-// appended to a JSONL checkpoint (write + flush per record, CRC-framed). A
-// restarted campaign replays the file, skips finished mission indices, and
-// reconstructs a CampaignResult identical to an uninterrupted run's.
+// appended to a JSONL checkpoint (one retried append per record, CRC-framed,
+// stamped with campaign_config_hash). A restarted campaign replays the file,
+// skips finished mission indices, and reconstructs a CampaignResult
+// identical to an uninterrupted run's.
 //
 // Fault containment (DESIGN.md section 11): a mission whose fuzz() raises —
 // sentinel divergence, watchdog timeout, or any other exception — is retried
 // with a salted seed up to `max_fault_retries` times; a mission that faults
-// on every attempt is recorded with its FaultKind, appended to the
-// quarantine file with repro information, and the campaign moves on.
+// on every attempt is recorded with its FaultKind, and its checkpoint record
+// (index, fuzzer, seed, config hash, fault, detail, attempts) is what
+// reproduces it offline. The campaign moves on.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +76,7 @@ struct MissionFaultInjection {
   sim::FaultInjection injection{};
   // The injection fires on the first `fail_attempts` fault attempts of the
   // mission, then stops — so tests can exercise a successful salted retry.
-  // Default: every attempt faults and the mission is quarantined.
+  // Default: every attempt faults and the mission is recorded as faulted.
   int fail_attempts = std::numeric_limits<int>::max();
 };
 
@@ -125,19 +127,18 @@ struct CampaignConfig {
   // salts extend the clean-failure ladder without colliding with it.
   int max_fault_retries = 2;
   // Stop claiming new missions as soon as any mission records a terminal
-  // fault (the default keeps going and quarantines).
+  // fault (the default records the fault and keeps going).
   bool fail_fast = false;
-  // JSONL file that receives one QuarantineRecord per terminally-faulted
-  // mission (seed, fuzzer, config hash, fault — enough to reproduce it
-  // offline). Empty disables quarantine output.
-  std::string quarantine_path;
   // Deterministic per-mission fault injections (tests).
   std::vector<MissionFaultInjection> fault_injections;
 };
 
-// Short stable hash (16 hex chars, FNV-1a over the outcome-determining
-// fields) identifying a campaign configuration in quarantine records, so a
-// quarantined seed can be matched back to the exact campaign that shed it.
+// Short stable hash (16 hex chars, FNV-1a over the fields that determine a
+// mission's outcome) identifying a campaign configuration. Every telemetry
+// record carries it, and a resume rejects records whose hash differs, so a
+// checkpoint never feeds results into another configuration. num_missions
+// is left out (a mission's outcome does not depend on it), so a campaign
+// can be resumed with more missions.
 [[nodiscard]] std::string campaign_config_hash(const CampaignConfig& config);
 
 struct MissionOutcome {

@@ -9,7 +9,6 @@
 #include "fuzz/telemetry.h"
 #include "util/fileio.h"
 #include "util/json.h"
-#include "util/logging.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -200,21 +199,9 @@ void save_corpus(const Corpus& corpus, const std::string& path) {
 
 std::vector<CorpusEntry> load_corpus(const std::string& path) {
   std::vector<CorpusEntry> entries;
-  for (const JsonlLine& line : read_jsonl_lines(path)) {
-    try {
-      entries.push_back(corpus_entry_from_json(line.text));
-    } catch (const std::exception& e) {
-      // Same policy as every durable JSONL stream: a torn final line is the
-      // crash signature and is skipped; a corrupt complete line means the
-      // file cannot be trusted.
-      if (line.complete) {
-        throw std::runtime_error("corpus: corrupt entry in " + path + ": " +
-                                 e.what());
-      }
-      SWARMFUZZ_WARN("corpus: skipping torn final entry in {} ({} bytes): {}",
-                     path, line.text.size(), e.what());
-    }
-  }
+  replay_jsonl(path, "corpus", [&entries](std::string_view line) {
+    entries.push_back(corpus_entry_from_json(line));
+  });
   return entries;
 }
 

@@ -106,9 +106,9 @@ class Corpus {
 // util::IoError on unrecoverable I/O failure.
 void save_corpus(const Corpus& corpus, const std::string& path);
 
-// Loads every well-formed entry. A torn final line — the crash signature —
-// is skipped with a warning; a corrupt complete line throws
-// std::runtime_error. A missing file yields an empty vector.
+// Loads every well-formed entry through replay_jsonl: a torn final line —
+// the crash signature — is skipped with a warning; a corrupt complete line
+// throws std::runtime_error. A missing file yields an empty vector.
 [[nodiscard]] std::vector<CorpusEntry> load_corpus(const std::string& path);
 
 }  // namespace swarmfuzz::fuzz

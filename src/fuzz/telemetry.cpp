@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 
 #include "util/crc32.h"
@@ -234,6 +235,8 @@ std::string to_jsonl(const TelemetryRecord& record) {
   json.value(record.mission_index);
   json.key("fuzzer");
   json.value(record.fuzzer);
+  json.key("config");
+  json.value(record.config_hash);
   // Seeds are 64-bit; JSON numbers only guarantee 53 bits, so stringify.
   json.key("seed");
   json.value(std::to_string(record.mission_seed));
@@ -266,6 +269,11 @@ TelemetryRecord telemetry_record_from_json(std::string_view line) {
   }
   record.mission_index = root.at("index").as_int();
   record.fuzzer = root.at("fuzzer").as_string();
+  // Optional here so a record written before the member existed still
+  // loads; run_campaign refuses to resume from one.
+  if (const util::JsonValue* config = root.find("config"); config != nullptr) {
+    record.config_hash = config->as_string();
+  }
   const std::string& seed_text = root.at("seed").as_string();
   record.mission_seed = std::stoull(seed_text);
   record.wall_time_s = root.at("wall_time_s").as_double();
@@ -278,42 +286,45 @@ TelemetryRecord telemetry_record_from_json(std::string_view line) {
   return record;
 }
 
-std::string to_jsonl(const QuarantineRecord& record) {
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("index");
-  json.value(record.mission_index);
-  json.key("fuzzer");
-  json.value(record.fuzzer);
-  json.key("seed");
-  json.value(std::to_string(record.mission_seed));
-  json.key("config_hash");
-  json.value(record.config_hash);
-  json.key("fault");
-  json.value(sim::fault_kind_name(record.fault));
-  json.key("detail");
-  json.value(record.detail);
-  json.key("attempts");
-  json.value(record.attempts);
-  json.end_object();
-  return frame_with_crc(json.str());
-}
-
-QuarantineRecord quarantine_record_from_json(std::string_view line) {
-  verify_crc_frame(line);
-  const util::JsonValue root = util::parse_json(line);
-  QuarantineRecord record;
-  record.mission_index = root.at("index").as_int();
-  record.fuzzer = root.at("fuzzer").as_string();
-  record.mission_seed = std::stoull(root.at("seed").as_string());
-  record.config_hash = root.at("config_hash").as_string();
-  record.fault = sim::fault_kind_from_name(root.at("fault").as_string());
-  record.detail = root.at("detail").as_string();
-  record.attempts = root.at("attempts").as_int();
-  return record;
-}
-
 namespace {
+
+// The whole content of `path`; nullopt when it cannot be opened (missing).
+std::optional<std::string> read_whole_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return std::nullopt;
+  std::string content;
+  char buffer[1 << 14];
+  std::size_t read = 0;
+  while ((read = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
+    content.append(buffer, read);
+  }
+  std::fclose(file);
+  return content;
+}
+
+// Truncates an unterminated final line (a write that never finished) so
+// appending resumes on a line boundary. Without this, the next append would
+// glue a fresh record onto the torn fragment, turning the recoverable crash
+// signature into an unrecoverable corrupt complete line. A missing or
+// non-regular file is left alone: a pipe or a device has no tail to heal,
+// and reading one can block forever (a pipe's read end is the reader's) or
+// never end (/dev/full).
+void heal_torn_tail(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return;
+  const std::optional<std::string> content = read_whole_file(path);
+  if (!content || content->empty() || content->back() == '\n') return;
+  const std::size_t last_newline = content->rfind('\n');
+  const std::size_t keep = last_newline == std::string::npos ? 0 : last_newline + 1;
+  SWARMFUZZ_WARN("telemetry: {} ends mid-record; truncating {} torn bytes",
+                 path, content->size() - keep);
+  std::filesystem::resize_file(path, keep, ec);
+  if (ec) {
+    throw util::IoError("telemetry: cannot truncate torn tail of " + path +
+                            ": " + ec.message(),
+                        ec.value());
+  }
+}
 
 void append_jsonl_line_once(const std::string& path, std::string_view line) {
   std::FILE* file = std::fopen(path.c_str(), "ab");
@@ -321,6 +332,8 @@ void append_jsonl_line_once(const std::string& path, std::string_view line) {
     throw util::IoError("telemetry: cannot open " + path + " for append",
                         errno);
   }
+  // Line and newline go out in one write: a crash cannot leave a record
+  // without its terminator the way a separate newline write could.
   std::string framed{line};
   framed.push_back('\n');
   const bool ok =
@@ -351,121 +364,59 @@ void append_jsonl_line(const std::string& path, std::string_view line) {
   });
 }
 
-void heal_torn_tail(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return;  // nothing to heal
-  std::string content;
-  char buffer[1 << 14];
-  std::size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    content.append(buffer, read);
-  }
-  std::fclose(file);
-  if (content.empty() || content.back() == '\n') return;
-  const std::size_t last_newline = content.rfind('\n');
-  const std::size_t keep = last_newline == std::string::npos ? 0 : last_newline + 1;
-  SWARMFUZZ_WARN("telemetry: {} ends mid-record; truncating {} torn bytes",
-                 path, content.size() - keep);
-  std::error_code ec;
-  std::filesystem::resize_file(path, keep, ec);
-  if (ec) {
-    throw util::IoError("telemetry: cannot truncate torn tail of " + path +
-                            ": " + ec.message(),
-                        ec.value());
-  }
-}
-
 JsonlTelemetrySink::JsonlTelemetrySink(const std::string& path, bool append)
     : path_(path) {
   if (append) heal_torn_tail(path);
-  file_ = std::fopen(path.c_str(), append ? "ab" : "wb");
-  if (file_ == nullptr) {
+  std::FILE* file = std::fopen(path.c_str(), append ? "ab" : "wb");
+  if (file == nullptr) {
     throw std::runtime_error("telemetry: cannot open " + path + " for writing");
   }
-}
-
-JsonlTelemetrySink::~JsonlTelemetrySink() {
-  if (file_ != nullptr) std::fclose(file_);
+  std::fclose(file);
 }
 
 void JsonlTelemetrySink::record(const TelemetryRecord& record) {
-  // Line + newline go out in one fwrite: a crash between two calls cannot
-  // leave a record without its terminator (the torn-write signature the
-  // loader heals) the way a separate fputc('\n') could.
-  std::string line = to_jsonl(record);
-  line.push_back('\n');
+  const std::string line = to_jsonl(record);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0) {
-    throw util::IoError("telemetry: short write to " + path_, errno);
-  }
+  append_jsonl_line(path_, line);
 }
 
-std::vector<JsonlLine> read_jsonl_lines(const std::string& path) {
-  std::vector<JsonlLine> lines;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return lines;
-
-  std::string content;
-  char buffer[1 << 14];
-  std::size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    content.append(buffer, read);
-  }
-  std::fclose(file);
-
+void replay_jsonl(const std::string& path, std::string_view stream,
+                  const std::function<void(std::string_view)>& parse_line) {
+  const std::optional<std::string> content = read_whole_file(path);
+  if (!content) return;
+  const std::string_view text{*content};
   std::size_t start = 0;
-  while (start < content.size()) {
-    std::size_t end = content.find('\n', start);
-    const bool complete_line = end != std::string::npos;
-    if (!complete_line) end = content.size();
-    if (end > start) {
-      lines.push_back(JsonlLine{content.substr(start, end - start), complete_line});
-    }
+  while (start < text.size()) {
+    std::size_t end = text.find('\n', start);
+    const bool complete = end != std::string_view::npos;
+    if (!complete) end = text.size();
+    const std::string_view line = text.substr(start, end - start);
     start = end + 1;
-  }
-  return lines;
-}
-
-namespace {
-
-// Shared JSONL replay loop: parses each line with `parse`, pushing results
-// into `records`. Torn final line → warn + skip; corrupt complete line →
-// throw (resuming past it would silently drop missions).
-template <typename Record, typename Parse>
-std::vector<Record> load_jsonl(const std::string& path, Parse parse) {
-  std::vector<Record> records;
-  for (const JsonlLine& line : read_jsonl_lines(path)) {
+    if (line.empty()) continue;
     try {
-      records.push_back(parse(std::string_view{line.text}));
+      parse_line(line);
     } catch (const std::exception& e) {
       // Records never contain a raw newline, so a crash mid-write can only
       // tear the newline-terminated suffix of the file: a malformed final
       // line without '\n' is the expected crash signature and is skipped.
       // A malformed *complete* line means the file is corrupt, and resuming
       // from it would silently drop missions.
-      if (line.complete) {
-        throw std::runtime_error("telemetry: corrupt record in " + path + ": " +
-                                 e.what());
+      if (complete) {
+        throw std::runtime_error(std::string{stream} + ": corrupt record in " +
+                                 path + ": " + e.what());
       }
-      SWARMFUZZ_WARN(
-          "telemetry: skipping torn final record in {} ({} bytes): {}", path,
-          line.text.size(), e.what());
+      SWARMFUZZ_WARN("{}: skipping torn final record in {} ({} bytes): {}",
+                     stream, path, line.size(), e.what());
     }
   }
-  return records;
 }
-
-}  // namespace
 
 std::vector<TelemetryRecord> load_telemetry(const std::string& path) {
-  return load_jsonl<TelemetryRecord>(
-      path, [](std::string_view line) { return telemetry_record_from_json(line); });
-}
-
-std::vector<QuarantineRecord> load_quarantine(const std::string& path) {
-  return load_jsonl<QuarantineRecord>(
-      path, [](std::string_view line) { return quarantine_record_from_json(line); });
+  std::vector<TelemetryRecord> records;
+  replay_jsonl(path, "telemetry", [&records](std::string_view line) {
+    records.push_back(telemetry_record_from_json(line));
+  });
+  return records;
 }
 
 }  // namespace swarmfuzz::fuzz

@@ -5,11 +5,13 @@
 //      outcome (seed, fuzzer, status, fault, iterations, simulations,
 //      wall-clock) streams to a JSONL sink as it completes.
 //   2. Durability — when `CampaignConfig.checkpoint_path` is set the same
-//      records double as a crash-safe checkpoint: each line is written and
-//      flushed in a single call, carries a CRC-32 of its own payload (a
-//      trailing `"crc"` member), and a killed campaign resumes by replaying
-//      the file and running only the missing mission indices. A torn final
-//      line — the crash signature — is detected by the framing and skipped.
+//      records double as a crash-safe checkpoint and are the campaign's one
+//      durable record of each mission, faulted ones included: each line is
+//      appended and flushed in a single retried call, carries the campaign's
+//      config hash and a CRC-32 of its own payload (a trailing `"crc"`
+//      member), and a killed campaign resumes by replaying the file and
+//      running only the missing mission indices. A torn final line — the
+//      crash signature — is detected by the framing and skipped.
 //
 // Serialization is exact: doubles are written with %.17g (see
 // JsonWriter::value_exact) so a record parsed back reconstructs the
@@ -18,7 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -34,6 +36,10 @@ struct TelemetryRecord {
   int schema_version = 1;
   int mission_index = -1;         // index within the campaign [0, num_missions)
   std::string fuzzer;             // fuzzer_kind_name() of the campaign's kind
+  // campaign_config_hash() of the campaign that ran the mission, written as
+  // the `"config"` member; a resume rejects a record whose hash is missing
+  // or differs from its own. Empty when read from a record without one.
+  std::string config_hash;
   std::uint64_t mission_seed = 0; // final (possibly retried) mission seed
   double wall_time_s = 0.0;       // wall-clock spent on this mission
   FuzzResult result;              // full outcome, including seed attempts
@@ -59,27 +65,6 @@ struct TelemetryRecord {
 // emits.
 [[nodiscard]] TelemetryRecord telemetry_record_from_json(std::string_view line);
 
-// A mission the campaign supervisor gave up on: every fault retry faulted
-// again. Quarantine records carry enough to reproduce the failure offline
-// (`swarmfuzz campaign --missions 1 ...` with the recorded seed/fuzzer).
-struct QuarantineRecord {
-  int mission_index = -1;
-  std::string fuzzer;
-  std::uint64_t mission_seed = 0;  // seed of the final faulted attempt
-  std::string config_hash;         // campaign_config_hash() of the campaign
-  sim::FaultKind fault = sim::FaultKind::kNone;
-  std::string detail;
-  int attempts = 0;                // attempts made (initial + retries)
-};
-
-// CRC-framed JSONL line for a quarantine record (no trailing newline).
-[[nodiscard]] std::string to_jsonl(const QuarantineRecord& record);
-[[nodiscard]] QuarantineRecord quarantine_record_from_json(std::string_view line);
-
-// Loads every record from a quarantine JSONL file; same torn-tail tolerance
-// as load_telemetry. A missing file yields an empty vector.
-[[nodiscard]] std::vector<QuarantineRecord> load_quarantine(const std::string& path);
-
 // Appends one line + '\n' to `path` in a single flushed write, creating the
 // file if needed. Transient failures retry with backoff through
 // util::io_retrier(), healing any torn tail the failed attempt left before
@@ -88,7 +73,7 @@ struct QuarantineRecord {
 void append_jsonl_line(const std::string& path, std::string_view line);
 
 // CRC-32 record framing, shared by every durable JSONL stream (telemetry,
-// checkpoints, quarantine, the E_Fuzz corpus). frame_with_crc splices the
+// checkpoints, the E_Fuzz corpus). frame_with_crc splices the
 // checksum in as the line's final member — `{...}` becomes
 // `{...,"crc":"xxxxxxxx"}`, where the checksum covers the unframed line — so
 // `line` must be a single-line JSON object. verify_crc_frame throws std::invalid_argument
@@ -96,13 +81,6 @@ void append_jsonl_line(const std::string& path, std::string_view line);
 // value is exactly 8 lowercase hex digits matching the payload.
 [[nodiscard]] std::string frame_with_crc(std::string line);
 void verify_crc_frame(std::string_view line);
-
-// Truncates an unterminated final line (a write the previous process never
-// finished) so appending resumes on a line boundary. Without this, the next
-// append would glue a fresh record onto the torn fragment, turning the
-// recoverable crash signature into an unrecoverable corrupt complete line.
-// A missing file is a no-op.
-void heal_torn_tail(const std::string& path);
 
 // Receives completed-mission records; implementations must be thread-safe
 // (campaign workers call record() concurrently).
@@ -112,23 +90,22 @@ class TelemetrySink {
   virtual void record(const TelemetryRecord& record) = 0;
 };
 
-// Thread-safe JSONL file sink. Every record() appends one line + newline in
-// a single fwrite and flushes, so a crash loses at most the line being
-// written — never a completed one. Opening in append mode first heals a
-// torn tail: an unterminated final line (the previous process died
-// mid-write) is truncated away so the next append starts on a line boundary
-// instead of corrupting a complete line.
+// Thread-safe JSONL file sink. Every record() is one append_jsonl_line
+// under the sink's mutex — open, one write of line + newline, flush, close,
+// retried — so a crash loses at most the line being written, never a
+// completed one. Opening in append mode first heals a torn tail: an
+// unterminated final line (the previous process died mid-write) is
+// truncated away so the next append starts on a line boundary instead of
+// corrupting a complete line. Pipes and other non-regular files are never
+// healed, so `/dev/stdout` works as a path.
 class JsonlTelemetrySink final : public TelemetrySink {
  public:
-  // Opens `path` for writing; `append` keeps existing records (resume),
-  // otherwise the file is truncated. Throws std::runtime_error on failure.
+  // `append` keeps existing records (resume), otherwise the file is
+  // truncated; either way it is created if missing. Throws
+  // std::runtime_error when it cannot be opened for writing.
   explicit JsonlTelemetrySink(const std::string& path, bool append = true);
-  ~JsonlTelemetrySink() override;
 
-  JsonlTelemetrySink(const JsonlTelemetrySink&) = delete;
-  JsonlTelemetrySink& operator=(const JsonlTelemetrySink&) = delete;
-
-  // Throws util::IoError (carrying errno) when the write or flush fails.
+  // Throws util::IoError (carrying errno) once append_jsonl_line gives up.
   void record(const TelemetryRecord& record) override;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
@@ -136,25 +113,19 @@ class JsonlTelemetrySink final : public TelemetrySink {
  private:
   std::string path_;
   std::mutex mutex_;
-  std::FILE* file_ = nullptr;
 };
 
-// Loads every well-formed record from a JSONL file. A malformed or
-// incomplete *last* line (the write a crash interrupted) is skipped with a
-// warning; a malformed line elsewhere — including a CRC mismatch — throws
-// std::runtime_error. A missing file yields an empty vector.
+// The one loader of every durable JSONL stream (checkpoints, telemetry, the
+// E_Fuzz corpus): hands each line of `path`, without its terminator and in
+// file order, to `parse_line`. A line that fails to parse is skipped with a
+// warning when it is the unterminated final line (the write a crash
+// interrupted); a failing *complete* line — a CRC mismatch included — means
+// the file is corrupt and throws std::runtime_error naming `stream` and
+// `path`. A missing file replays nothing.
+void replay_jsonl(const std::string& path, std::string_view stream,
+                  const std::function<void(std::string_view)>& parse_line);
+
+// replay_jsonl over telemetry records: every well-formed record of `path`.
 [[nodiscard]] std::vector<TelemetryRecord> load_telemetry(const std::string& path);
-
-// Raw line replay shared by the durable JSONL loaders (telemetry,
-// quarantine, the E_Fuzz corpus): every line of `path` without its
-// terminator, in file order. An unterminated final line — the torn-write
-// crash signature — is returned with `complete = false` so callers can
-// apply the skip-torn-tail / throw-on-corrupt-complete-line policy. A
-// missing file yields an empty vector.
-struct JsonlLine {
-  std::string text;
-  bool complete = true;
-};
-[[nodiscard]] std::vector<JsonlLine> read_jsonl_lines(const std::string& path);
 
 }  // namespace swarmfuzz::fuzz

@@ -17,7 +17,8 @@
 //
 // The campaign supervisor (fuzz::run_campaign) catches RunFaultError (and
 // any other exception, as kException), retries the mission with a salted
-// seed, and quarantines persistent failures.
+// seed, and records a persistent failure in the mission's checkpoint
+// record.
 #pragma once
 
 #include <chrono>
@@ -38,7 +39,7 @@ enum class FaultKind {
 };
 
 // Stable wire names ("none", "numerical_divergence", ...), used in
-// telemetry/quarantine records.
+// telemetry/checkpoint records.
 [[nodiscard]] std::string_view fault_kind_name(FaultKind kind) noexcept;
 // Inverse of fault_kind_name; throws std::invalid_argument on unknown input.
 [[nodiscard]] FaultKind fault_kind_from_name(std::string_view name);

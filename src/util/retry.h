@@ -1,10 +1,11 @@
 // Policy-driven retry for durable-I/O ("transport") operations.
 //
-// Every durable write — telemetry and checkpoint appends, quarantine
-// records, corpus saves, write_file_atomic — goes through one process-wide
-// IoRetrier, so a transient filesystem error (EINTR, a brief ENOSPC, an NFS
-// EIO hiccup) degrades to a bounded retry with exponential backoff instead
-// of aborting a whole campaign. Failures are classified by errno:
+// Every durable write — checkpoint and telemetry appends
+// (fuzz::append_jsonl_line, which JsonlTelemetrySink::record calls) and
+// write_file_atomic (corpus saves, summary and report files) — goes through
+// one process-wide IoRetrier, so a transient filesystem error (EINTR, a
+// brief ENOSPC, an NFS EIO hiccup) degrades to a bounded retry with
+// exponential backoff instead of aborting a whole campaign. Failures are classified by errno:
 //
 //   transient   retried up to RetryPolicy::max_attempts with exponential
 //               backoff; the jitter is deterministic (seeded splitmix64 of

@@ -74,6 +74,8 @@ TEST(Cli, UnknownFlagExitsTwoAndNamesIt) {
   // A flag of another command is just as unknown here.
   EXPECT_EQ(run_dispatch({"run", "--progress=false"}), 2);
   EXPECT_EQ(run_dispatch({"campaign", "--obstacles=2"}), 2);
+  // Faulted missions live in the checkpoint; the quarantine file is gone.
+  EXPECT_EQ(run_dispatch({"campaign", "--quarantine=x"}), 2);
 }
 
 TEST(Cli, RemovedServiceCommandsAreGone) {
@@ -121,7 +123,7 @@ TEST(Cli, DocumentedFlagsAreKnown) {
                     "--sim-threads=1", "--fuzzer=e_fuzz", "--controller=olfati",
                     "--vehicle=quadrotor", "--mission-timeout=2",
                     "--eval-max-steps=9", "--max-fault-retries=0", "--fail-fast",
-                    "--quarantine=q", "--fault-inject=nan@1", "--seed=42",
+                    "--fault-inject=nan@1", "--seed=42",
                     "--novelty-bins=8", "--evo-batch=4", "--max-corpus=9",
                     "--clean-retries=1", "--no-prefix-reuse",
                     "--checkpoint-period=2", "--nav-filter"}},

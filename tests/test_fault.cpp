@@ -1,6 +1,6 @@
 // Fault-containment tests (DESIGN.md section 11): numerical-health
 // sentinels, watchdogs and deterministic fault injection at the simulator
-// level, and the supervisor's retry/quarantine/fail-fast machinery at the
+// level, and the supervisor's retry/fault-record/fail-fast machinery at the
 // campaign level.
 #include "sim/fault.h"
 
@@ -9,10 +9,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <memory>
 
 #include "fuzz/campaign.h"
 #include "fuzz/telemetry.h"
 #include "sim/simulator.h"
+#include "swarm/reynolds.h"
+#include "swarm/vasarhelyi.h"
 
 namespace swarmfuzz {
 namespace {
@@ -181,7 +184,7 @@ TEST(FaultPlan, MalformedSpecsThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign supervisor: retry, quarantine, fail-fast, checkpoint round-trip.
+// Campaign supervisor: retry, fault records, fail-fast, checkpoint round-trip.
 
 fuzz::CampaignConfig fault_campaign(int missions = 6) {
   fuzz::CampaignConfig config;
@@ -195,18 +198,25 @@ fuzz::CampaignConfig fault_campaign(int missions = 6) {
   return config;
 }
 
-TEST(CampaignFaults, InjectedFaultsAreQuarantinedWhileOthersComplete) {
+// The checkpoint records of terminally faulted missions: one per faulted
+// index, carrying what reproduces the fault offline.
+std::vector<fuzz::TelemetryRecord> faulted_records(const std::string& path) {
+  std::vector<fuzz::TelemetryRecord> faulted;
+  for (fuzz::TelemetryRecord& record : fuzz::load_telemetry(path)) {
+    if (record.fault != FaultKind::kNone) faulted.push_back(std::move(record));
+  }
+  return faulted;
+}
+
+TEST(CampaignFaults, InjectedFaultsAreRecordedWhileOthersComplete) {
   const fuzz::CampaignResult baseline = fuzz::run_campaign(fault_campaign());
 
-  const std::string quarantine = temp_path("quarantine.jsonl");
   const std::string checkpoint = temp_path("faulted_checkpoint.jsonl");
-  std::remove(quarantine.c_str());
   std::remove(checkpoint.c_str());
 
   fuzz::CampaignConfig config = fault_campaign();
   config.fault_injections = fuzz::parse_fault_plan("nan@1,throw@3");
   config.max_fault_retries = 1;
-  config.quarantine_path = quarantine;
   config.checkpoint_path = checkpoint;
   const fuzz::CampaignResult faulted = fuzz::run_campaign(config);
 
@@ -217,7 +227,7 @@ TEST(CampaignFaults, InjectedFaultsAreQuarantinedWhileOthersComplete) {
   EXPECT_EQ(faulted.outcomes[3].fault, FaultKind::kException);
   EXPECT_EQ(faulted.fault_count(FaultKind::kNumericalDivergence), 1);
   EXPECT_EQ(faulted.fault_count(FaultKind::kException), 1);
-  // Both retries were consumed before quarantining.
+  // Both retries were consumed before giving up on the mission.
   EXPECT_EQ(faulted.outcomes[1].fault_attempts, config.max_fault_retries + 1);
   // Terminally-faulted missions are excluded from the paper metrics.
   EXPECT_EQ(faulted.num_fuzzable() + faulted.num_faulted(),
@@ -231,15 +241,15 @@ TEST(CampaignFaults, InjectedFaultsAreQuarantinedWhileOthersComplete) {
         << "mission " << index;
   }
 
-  // The quarantine file holds one repro record per terminal fault.
-  const auto records = fuzz::load_quarantine(quarantine);
+  // The checkpoint holds one repro record per terminal fault.
+  const auto records = faulted_records(checkpoint);
   ASSERT_EQ(records.size(), 2u);
   const std::string hash = fuzz::campaign_config_hash(config);
-  for (const fuzz::QuarantineRecord& record : records) {
+  for (const fuzz::TelemetryRecord& record : records) {
     EXPECT_TRUE(record.mission_index == 1 || record.mission_index == 3);
     EXPECT_EQ(record.fuzzer, fuzzer_kind_name(config.kind));
     EXPECT_EQ(record.config_hash, hash);
-    EXPECT_EQ(record.attempts, config.max_fault_retries + 1);
+    EXPECT_EQ(record.fault_attempts, config.max_fault_retries + 1);
     const int index = record.mission_index;
     EXPECT_EQ(record.fault, faulted.outcomes[index].fault);
     EXPECT_EQ(record.mission_seed, faulted.outcomes[index].mission_seed);
@@ -250,7 +260,6 @@ TEST(CampaignFaults, InjectedFaultsAreQuarantinedWhileOthersComplete) {
   const fuzz::CampaignResult replayed = fuzz::run_campaign(config);
   EXPECT_TRUE(deterministic_equal(replayed, faulted));
 
-  std::remove(quarantine.c_str());
   std::remove(checkpoint.c_str());
 }
 
@@ -282,55 +291,54 @@ TEST(CampaignFaults, TransientFaultSucceedsOnSaltedRetry) {
   }
 }
 
-TEST(CampaignFaults, QuarantineIsDedupedAcrossResume) {
-  const std::string quarantine = temp_path("dedup_quarantine.jsonl");
-  const std::string checkpoint = temp_path("dedup_checkpoint.jsonl");
-  std::remove(quarantine.c_str());
+TEST(CampaignFaults, FullReplayKeepsOneRecordPerFaultedMission) {
+  const std::string checkpoint = temp_path("replay_faulted_checkpoint.jsonl");
   std::remove(checkpoint.c_str());
 
   fuzz::CampaignConfig config = fault_campaign(3);
   config.fault_injections = fuzz::parse_fault_plan("nan@1");
   config.max_fault_retries = 0;
-  config.quarantine_path = quarantine;
   config.checkpoint_path = checkpoint;
   (void)fuzz::run_campaign(config);
-  ASSERT_EQ(fuzz::load_quarantine(quarantine).size(), 1u);
+  ASSERT_EQ(faulted_records(checkpoint).size(), 1u);
 
-  // A full replay from the checkpoint executes nothing — and appends nothing.
-  (void)fuzz::run_campaign(config);
-  EXPECT_EQ(fuzz::load_quarantine(quarantine).size(), 1u);
+  // A full replay from the checkpoint executes nothing and rewrites each
+  // record once: the faulted mission still has exactly one record.
+  const fuzz::CampaignResult replayed = fuzz::run_campaign(config);
+  EXPECT_EQ(replayed.fault_count(FaultKind::kNumericalDivergence), 1);
+  EXPECT_EQ(fuzz::load_telemetry(checkpoint).size(), 3u);
+  const auto records = faulted_records(checkpoint);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].mission_index, 1);
 
-  // Losing the checkpoint (a crash before any record landed) re-runs the
-  // mission; it faults again with the same (config, seed, index), so the
-  // quarantine file must keep exactly one repro record, not grow one copy
-  // per resume.
-  std::remove(checkpoint.c_str());
-  const fuzz::CampaignResult rerun = fuzz::run_campaign(config);
-  EXPECT_EQ(rerun.fault_count(FaultKind::kNumericalDivergence), 1);
-  EXPECT_EQ(fuzz::load_quarantine(quarantine).size(), 1u);
-
-  std::remove(quarantine.c_str());
   std::remove(checkpoint.c_str());
 }
 
-TEST(CampaignFaults, StepBudgetTimeoutIsTerminalAndQuarantined) {
+TEST(CampaignFaults, StepBudgetTimeoutIsTerminalAndRecorded) {
   // An eval step budget far below any real mission forces kTimeout through
   // the whole supervisor path deterministically (no wall clock involved).
-  const std::string quarantine = temp_path("timeout_quarantine.jsonl");
-  std::remove(quarantine.c_str());
+  const std::string checkpoint = temp_path("timeout_checkpoint.jsonl");
+  std::remove(checkpoint.c_str());
 
   fuzz::CampaignConfig config = fault_campaign(2);
   config.fuzzer.eval_max_steps = 20;
   config.max_fault_retries = 1;
-  config.quarantine_path = quarantine;
+  config.checkpoint_path = checkpoint;
   const fuzz::CampaignResult result = fuzz::run_campaign(config);
 
   EXPECT_EQ(result.num_completed(), 2);
   EXPECT_EQ(result.fault_count(FaultKind::kTimeout), 2);
-  const auto records = fuzz::load_quarantine(quarantine);
+  const auto records = faulted_records(checkpoint);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].fault, FaultKind::kTimeout);
-  std::remove(quarantine.c_str());
+  const std::string hash = fuzz::campaign_config_hash(config);
+  for (const fuzz::TelemetryRecord& record : records) {
+    const int index = record.mission_index;
+    EXPECT_EQ(record.fault, FaultKind::kTimeout);
+    EXPECT_EQ(record.mission_seed, result.outcomes[index].mission_seed);
+    EXPECT_EQ(record.fault_attempts, config.max_fault_retries + 1);
+    EXPECT_EQ(record.config_hash, hash);
+  }
+  std::remove(checkpoint.c_str());
 }
 
 TEST(CampaignFaults, HangIsContainedByMissionTimeout) {
@@ -380,11 +388,49 @@ TEST(CampaignConfigHash, SensitiveToOutcomeDeterminingFields) {
   drones_changed.mission.num_drones += 1;
   EXPECT_NE(fuzz::campaign_config_hash(drones_changed), hash);
 
-  // Fields that don't affect outcomes (threads, paths) don't affect the hash.
-  fuzz::CampaignConfig threads_changed = base;
-  threads_changed.num_threads = 7;
-  threads_changed.quarantine_path = "elsewhere.jsonl";
-  EXPECT_EQ(fuzz::campaign_config_hash(threads_changed), hash);
+  // Every further field below changes mission outcomes.
+  using Mutator = void (*)(fuzz::CampaignConfig&);
+  const std::pair<const char*, Mutator> sensitive[] = {
+      {"vehicle",
+       [](fuzz::CampaignConfig& c) {
+         c.fuzzer.sim.vehicle = sim::VehicleType::kQuadrotor;
+       }},
+      {"gps rate", [](fuzz::CampaignConfig& c) { c.fuzzer.sim.gps.rate_hz = 5.0; }},
+      {"gps noise", [](fuzz::CampaignConfig& c) { c.fuzzer.sim.gps.noise_stddev = 0.5; }},
+      {"nav filter",
+       [](fuzz::CampaignConfig& c) { c.fuzzer.sim.use_navigation_filter = true; }},
+      {"centrality",
+       [](fuzz::CampaignConfig& c) {
+         c.fuzzer.seeds.centrality = fuzz::CentralityKind::kDegree;
+       }},
+      {"eval max steps", [](fuzz::CampaignConfig& c) { c.fuzzer.eval_max_steps = 500; }},
+      {"controller",
+       [](fuzz::CampaignConfig& c) {
+         c.controller_factory = [] {
+           return std::make_shared<swarm::ReynoldsController>();
+         };
+       }},
+  };
+  for (const auto& [what, mutate] : sensitive) {
+    fuzz::CampaignConfig changed = base;
+    mutate(changed);
+    EXPECT_NE(fuzz::campaign_config_hash(changed), hash) << what;
+  }
+
+  // The default controller hashes like an explicit Vasarhelyi factory.
+  fuzz::CampaignConfig explicit_default = base;
+  explicit_default.controller_factory = [] {
+    return std::make_shared<swarm::VasarhelyiController>();
+  };
+  EXPECT_EQ(fuzz::campaign_config_hash(explicit_default), hash);
+
+  // Fields that don't affect a mission's outcome (threads, paths, the
+  // mission count) don't affect the hash.
+  fuzz::CampaignConfig unchanged = base;
+  unchanged.num_threads = 7;
+  unchanged.checkpoint_path = "elsewhere.jsonl";
+  unchanged.num_missions += 10;
+  EXPECT_EQ(fuzz::campaign_config_hash(unchanged), hash);
 }
 
 }  // namespace

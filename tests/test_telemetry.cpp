@@ -2,16 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <thread>
 
 #include "fuzz/campaign.h"
+#include "swarm/olfati_saber.h"
 #include "util/retry.h"
 
 namespace swarmfuzz::fuzz {
@@ -29,6 +36,7 @@ TelemetryRecord sample_record() {
   TelemetryRecord record;
   record.mission_index = 7;
   record.fuzzer = "SwarmFuzz";
+  record.config_hash = "00c0ffee00c0ffee";
   record.mission_seed = 0xdeadbeefcafebabeull;
   record.wall_time_s = 1.0 / 3.0;
   record.result.found = true;
@@ -78,6 +86,7 @@ TEST(Telemetry, JsonlRoundTripIsExact) {
   EXPECT_EQ(parsed.schema_version, original.schema_version);
   EXPECT_EQ(parsed.mission_index, original.mission_index);
   EXPECT_EQ(parsed.fuzzer, original.fuzzer);
+  EXPECT_EQ(parsed.config_hash, original.config_hash);
   EXPECT_EQ(parsed.mission_seed, original.mission_seed);
   EXPECT_EQ(parsed.wall_time_s, original.wall_time_s);
   // deterministic_equal compares every FuzzResult field with exact ==.
@@ -247,48 +256,14 @@ TEST(Telemetry, NonFiniteMissionVdoRoundTripsAsNull) {
   EXPECT_TRUE(std::isnan(parsed.result.mission_vdo));
 }
 
-TEST(Telemetry, QuarantineRecordRoundTrips) {
-  const QuarantineRecord original{.mission_index = 12,
-                                  .fuzzer = "SwarmFuzz",
-                                  .mission_seed = 0xfeedface12345678ull,
-                                  .config_hash = "00c0ffee00c0ffee",
-                                  .fault = sim::FaultKind::kNumericalDivergence,
-                                  .detail = "non-finite velocity",
-                                  .attempts = 3};
-  const std::string line = to_jsonl(original);
-  const QuarantineRecord parsed = quarantine_record_from_json(line);
-  EXPECT_EQ(parsed.mission_index, original.mission_index);
-  EXPECT_EQ(parsed.fuzzer, original.fuzzer);
-  EXPECT_EQ(parsed.mission_seed, original.mission_seed);
-  EXPECT_EQ(parsed.config_hash, original.config_hash);
-  EXPECT_EQ(parsed.fault, original.fault);
-  EXPECT_EQ(parsed.detail, original.detail);
-  EXPECT_EQ(parsed.attempts, original.attempts);
-
-  const std::string path = temp_path("quarantine.jsonl");
-  std::remove(path.c_str());
-  append_jsonl_line(path, line);
-  append_jsonl_line(path, line);
-  EXPECT_EQ(load_quarantine(path).size(), 2u);
-  std::remove(path.c_str());
-}
-
 TEST(Telemetry, LoadersRejectUnframedAndBadChecksumLines) {
   // A complete line that is unframed, or whose checksum does not match, is
-  // corruption in a checkpoint or quarantine file alike.
-  const QuarantineRecord quarantine{.mission_index = 1,
-                                    .fuzzer = "SwarmFuzz",
-                                    .mission_seed = 7,
-                                    .config_hash = "00c0ffee00c0ffee",
-                                    .fault = sim::FaultKind::kTimeout,
-                                    .detail = "deadline",
-                                    .attempts = 1};
+  // corruption.
   const auto bad_checksum = [](std::string line) {
     line[line.size() - 3] = line[line.size() - 3] == '0' ? '1' : '0';
     return line;
   };
   const std::string telemetry_line = to_jsonl(sample_record());
-  const std::string quarantine_line = to_jsonl(quarantine);
   const std::string path = temp_path("reject.jsonl");
   for (const std::string& bad :
        {strip_crc_frame(telemetry_line), bad_checksum(telemetry_line)}) {
@@ -296,13 +271,6 @@ TEST(Telemetry, LoadersRejectUnframedAndBadChecksumLines) {
     append_jsonl_line(path, telemetry_line);
     append_jsonl_line(path, bad);
     EXPECT_THROW((void)load_telemetry(path), std::runtime_error) << bad;
-  }
-  for (const std::string& bad :
-       {strip_crc_frame(quarantine_line), bad_checksum(quarantine_line)}) {
-    std::remove(path.c_str());
-    append_jsonl_line(path, quarantine_line);
-    append_jsonl_line(path, bad);
-    EXPECT_THROW((void)load_quarantine(path), std::runtime_error) << bad;
   }
   std::remove(path.c_str());
 }
@@ -330,19 +298,56 @@ TEST(Telemetry, SinkWritesOneLinePerRecord) {
   std::remove(path.c_str());
 }
 
-// A record the device refuses (ENOSPC on /dev/full, at the flush) must
-// throw, not vanish; the campaign worker's catch then stops the campaign.
-// Opened with append=false only: appending first heals the torn tail, which
-// would read /dev/full's endless stream of zeros.
+// A record the device refuses (ENOSPC on /dev/full, at the flush) is
+// retried through util::io_retrier() and then thrown, not dropped; the
+// campaign worker's catch then stops the campaign.
 TEST(Telemetry, SinkWriteFailureThrowsIoError) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  JsonlTelemetrySink sink("/dev/full", /*append=*/false);
+  util::IoRetrier& retrier = util::io_retrier();
+  retrier.reset();
+  retrier.set_sleep([](std::int64_t) {});
+  int code = 0;
   try {
+    JsonlTelemetrySink sink("/dev/full", /*append=*/false);
     sink.record(sample_record());
-    FAIL() << "record() on a full device returned normally";
   } catch (const util::IoError& e) {
-    EXPECT_EQ(e.code(), ENOSPC) << e.what();
+    code = e.code();
   }
+  const util::RetryCounters counters = retrier.counters();
+  const int max_attempts = retrier.policy().max_attempts;
+  retrier.set_sleep({});
+  retrier.reset();
+
+  EXPECT_EQ(code, ENOSPC) << "record() on a full device must throw ENOSPC";
+  EXPECT_EQ(counters.attempts, max_attempts);
+  EXPECT_EQ(counters.retries, max_attempts - 1);
+  EXPECT_EQ(counters.exhausted, 1);
+}
+
+// An append-mode sink on a pipe writes to it and never reads it:
+// `campaign --telemetry=/dev/stdout | cat` hung when the torn-tail heal
+// read the sink's own output pipe. tests/CMakeLists.txt gives this test a
+// short ctest TIMEOUT, so such a hang fails fast.
+TEST(Telemetry, AppendSinkWritesToFifoWithoutReadingIt) {
+  const std::string path = temp_path("sink.fifo");
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  // Non-blocking, so holding the read end does not wait for a writer.
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0) << std::strerror(errno);
+  {
+    JsonlTelemetrySink sink(path, /*append=*/true);
+    sink.record(sample_record());
+  }
+  std::string content;
+  char buffer[1 << 12];
+  ssize_t got = 0;
+  while ((got = ::read(reader, buffer, sizeof buffer)) > 0) {
+    content.append(buffer, static_cast<std::size_t>(got));
+  }
+  ::close(reader);
+  std::remove(path.c_str());
+  EXPECT_EQ(content, to_jsonl(sample_record()) + "\n");
 }
 
 TEST(Telemetry, SinkIsThreadSafe) {
@@ -547,6 +552,11 @@ TEST(Checkpoint, ResumeAfterTruncationMidRecordRerunsOnlyThatMission) {
   std::remove(path.c_str());
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(Checkpoint, MismatchedCampaignIsRejected) {
   const std::string path = temp_path("mismatch.jsonl");
   std::remove(path.c_str());
@@ -555,19 +565,73 @@ TEST(Checkpoint, MismatchedCampaignIsRejected) {
   config.checkpoint_path = path;
   config.max_new_missions = 2;
   (void)run_campaign(config);
+  const std::string written = file_bytes(path);
 
-  // Same file, different base seed: the records cannot belong to this
-  // campaign and resuming must fail loudly instead of fabricating results.
-  CampaignConfig other = config;
-  other.base_seed = config.base_seed + 1;
-  EXPECT_THROW((void)run_campaign(other), std::runtime_error);
+  // Same file, another configuration: the records cannot belong to this
+  // campaign, and resuming must fail loudly instead of fabricating results
+  // and leave the checkpoint byte-identical.
+  std::vector<std::pair<std::string, CampaignConfig>> foreign;
+  foreign.emplace_back("base seed", config);
+  foreign.back().second.base_seed += 1;
+  foreign.emplace_back("drones", config);
+  foreign.back().second.mission.num_drones += 3;
+  foreign.emplace_back("vehicle", config);
+  foreign.back().second.fuzzer.sim.vehicle = sim::VehicleType::kQuadrotor;
+  foreign.emplace_back("controller", config);
+  foreign.back().second.controller_factory = [] {
+    return std::make_shared<swarm::OlfatiSaberController>();
+  };
+  for (const auto& [what, other] : foreign) {
+    EXPECT_THROW((void)run_campaign(other), std::runtime_error) << what;
+    EXPECT_EQ(file_bytes(path), written) << what;
+  }
 
-  // The rejected resume must not have truncated the checkpoint: the original
-  // campaign's records are still there and the original config still resumes.
-  EXPECT_EQ(load_telemetry(path).size(), 2u);
+  // The original configuration still resumes, also with more missions: a
+  // mission's outcome does not depend on the mission count.
   config.max_new_missions = 0;
-  const CampaignResult resumed = run_campaign(config);
-  EXPECT_EQ(resumed.num_completed(), config.num_missions);
+  config.num_missions += 2;
+  int resumed = -1;
+  config.on_progress = [&resumed](const CampaignProgress& progress) {
+    resumed = progress.resumed;
+  };
+  const CampaignResult result = run_campaign(config);
+  EXPECT_EQ(result.num_completed(), config.num_missions);
+  EXPECT_EQ(resumed, 2);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RecordWithoutConfigMemberIsRejected) {
+  // A record written before records carried their campaign's config hash
+  // cannot be matched to a configuration: the resume fails, names the
+  // member, and leaves the file as it was.
+  const std::string path = temp_path("no_config.jsonl");
+  std::remove(path.c_str());
+  CampaignConfig config = checkpoint_campaign();
+  config.checkpoint_path = path;
+  config.max_new_missions = 1;
+  (void)run_campaign(config);
+  const std::vector<TelemetryRecord> records = load_telemetry(path);
+  ASSERT_EQ(records.size(), 1u);
+  std::string body = strip_crc_frame(to_jsonl(records[0]));
+  const std::string member = "\"config\":\"" + records[0].config_hash + "\",";
+  const size_t begin = body.find(member);
+  ASSERT_NE(begin, std::string::npos);
+  body.erase(begin, member.size());
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << frame_with_crc(body) << '\n';
+  }
+  const std::string written = file_bytes(path);
+
+  config.max_new_missions = 0;
+  try {
+    (void)run_campaign(config);
+    ADD_FAILURE() << "resumed from a record without a config hash";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("\"config\""), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(file_bytes(path), written);
   std::remove(path.c_str());
 }
 
